@@ -40,35 +40,47 @@ BitVector BitVector::fromBinary(const std::string& bits) {
   return v;
 }
 
-BitVector BitVector::fromHex(const std::string& hex, unsigned width) {
+BitVector BitVector::fromHex(std::string_view hex, unsigned width) {
+  BitVector v;
+  v.assignHex(hex, width);
+  return v;
+}
+
+void BitVector::assignHex(std::string_view hex, unsigned width) {
   const unsigned natural = static_cast<unsigned>(hex.size()) * 4;
-  const unsigned w = width == 0 ? natural : width;
-  BitVector v(w);
-  unsigned pos = 0;  // bit position of the next nibble's LSB
-  for (std::size_t i = hex.size(); i-- > 0;) {
+  width_ = width == 0 ? natural : width;
+  limbs_.assign(limbsFor(width_), 0);
+  // pos is a multiple of 4, so a nibble never straddles two limbs.
+  std::size_t pos = 0;  // bit position of the next nibble's LSB
+  for (std::size_t i = hex.size(); i-- > 0; pos += 4) {
     const char c = hex[i];
-    unsigned nib = 0;
+    std::uint64_t nib = 0;
     if (c >= '0' && c <= '9') {
-      nib = static_cast<unsigned>(c - '0');
+      nib = static_cast<std::uint64_t>(c - '0');
     } else if (c >= 'a' && c <= 'f') {
-      nib = static_cast<unsigned>(c - 'a' + 10);
+      nib = static_cast<std::uint64_t>(c - 'a' + 10);
     } else if (c >= 'A' && c <= 'F') {
-      nib = static_cast<unsigned>(c - 'A' + 10);
+      nib = static_cast<std::uint64_t>(c - 'A' + 10);
     } else {
       throw std::invalid_argument("BitVector::fromHex: bad character");
     }
-    for (unsigned b = 0; b < 4; ++b) {
-      if ((nib >> b) & 1u) {
-        if (pos + b >= w) {
-          throw std::invalid_argument(
-              "BitVector::fromHex: value does not fit requested width");
-        }
-        v.setBit(pos + b, true);
-      }
+    if (nib == 0) continue;
+    if (pos >= width_ || (width_ - pos < 4 && (nib >> (width_ - pos)) != 0)) {
+      throw std::invalid_argument(
+          "BitVector::fromHex: value does not fit requested width");
     }
-    pos += 4;
+    limbs_[pos / kLimbBits] |= nib << (pos % kLimbBits);
   }
-  return v;
+}
+
+void BitVector::assignBytes(const std::uint8_t* bytes, unsigned width) {
+  width_ = width;
+  limbs_.assign(limbsFor(width_), 0);
+  const unsigned nbytes = (width + 7) / 8;
+  for (unsigned i = 0; i < nbytes; ++i) {
+    limbs_[i / 8] |= static_cast<std::uint64_t>(bytes[i]) << (8 * (i % 8));
+  }
+  trim();
 }
 
 BitVector BitVector::ones(unsigned width) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace psmgen::common {
@@ -33,7 +34,18 @@ class BitVector {
 
   /// Parses a hex string, e.g. "deadbeef" (MSB first); width = 4 * length
   /// unless an explicit width is given (which must be >= significant bits).
-  static BitVector fromHex(const std::string& hex, unsigned width = 0);
+  static BitVector fromHex(std::string_view hex, unsigned width = 0);
+
+  /// In-place fromHex: overwrites *this with the parsed value, reusing the
+  /// existing limb storage (no allocation once the vector has held a value
+  /// of at least this many limbs). Throws the same std::invalid_argument
+  /// as fromHex for the same input; *this is unspecified after a throw.
+  void assignHex(std::string_view hex, unsigned width = 0);
+
+  /// Overwrites *this with a `width`-bit value packed little-endian in
+  /// ceil(width/8) bytes (bit i is bit i%8 of byte i/8), reusing the limb
+  /// storage. Bits of the last byte above `width` are ignored.
+  void assignBytes(const std::uint8_t* bytes, unsigned width);
 
   /// All-ones vector of the given width.
   static BitVector ones(unsigned width);

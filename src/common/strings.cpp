@@ -19,7 +19,9 @@ std::vector<std::string> split(const std::string& s, char delim) {
   return out;
 }
 
-std::string trim(const std::string& s) {
+std::string trim(const std::string& s) { return std::string(trimView(s)); }
+
+std::string_view trimView(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;

@@ -2,6 +2,7 @@
 // Small string helpers shared by trace I/O, reporting, and code generation.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace psmgen::common {
@@ -11,6 +12,8 @@ std::vector<std::string> split(const std::string& s, char delim);
 
 /// Strips leading/trailing ASCII whitespace.
 std::string trim(const std::string& s);
+/// trim() without the copy: a view into `s`.
+std::string_view trimView(std::string_view s);
 
 /// Joins `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);

@@ -1,5 +1,7 @@
 #include "core/proposition.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace psmgen::core {
@@ -39,27 +41,38 @@ bool Signature::get(std::size_t atom) const {
   return (words_[atom / 64] >> (atom % 64)) & 1u;
 }
 
-std::size_t Signature::hash() const {
+std::size_t SignatureHash::operator()(SignatureView s) const {
   std::size_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint64_t x) {
     h ^= x;
     h *= 1099511628211ull;
     h ^= h >> 29;
   };
-  mix(size_);
-  for (const std::uint64_t w : words_) mix(w);
+  mix(s.size);
+  for (const std::uint64_t w : s.words) mix(w);
   return h;
+}
+
+bool SignatureEq::operator()(SignatureView a, SignatureView b) const {
+  return a.size == b.size && std::ranges::equal(a.words, b.words);
 }
 
 PropositionDomain::PropositionDomain(trace::VariableSet vars,
                                      std::vector<AtomicProposition> atoms)
     : vars_(std::move(vars)), atoms_(std::move(atoms)) {}
 
+void PropositionDomain::evalWords(const std::vector<common::BitVector>& row,
+                                  std::uint64_t* words) const {
+  for (std::size_t i = 0; i < atoms_.size(); ++i) {
+    if (atoms_[i].eval(row)) words[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+}
+
 Signature PropositionDomain::evalRow(
     const std::vector<common::BitVector>& row) const {
-  std::vector<bool> truths(atoms_.size());
-  for (std::size_t i = 0; i < atoms_.size(); ++i) truths[i] = atoms_[i].eval(row);
-  return Signature(truths);
+  std::vector<std::uint64_t> words(wordCount());
+  evalWords(row, words.data());
+  return Signature(atoms_.size(), std::move(words));
 }
 
 PropId PropositionDomain::intern(const Signature& sig) {
@@ -82,7 +95,17 @@ PropId PropositionDomain::internRow(const std::vector<common::BitVector>& row) {
 
 PropId PropositionDomain::findRow(
     const std::vector<common::BitVector>& row) const {
-  return find(evalRow(row));
+  const std::size_t n = wordCount();
+  std::array<std::uint64_t, kInlineWords> inline_words{};
+  std::vector<std::uint64_t> heap_words;
+  std::uint64_t* words = inline_words.data();
+  if (n > kInlineWords) {
+    heap_words.resize(n);
+    words = heap_words.data();
+  }
+  evalWords(row, words);
+  const auto it = index_.find(SignatureView{atoms_.size(), {words, n}});
+  return it == index_.end() ? kNoProp : it->second;
 }
 
 std::string PropositionDomain::describe(PropId id) const {

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,6 +44,14 @@ struct AtomicProposition {
 using PropId = int;
 inline constexpr PropId kNoProp = -1;
 
+/// Non-owning view of a truth signature: `size` atoms, bit i of
+/// words[i / 64] is atom i. Lets the domain look a row up without
+/// building a Signature.
+struct SignatureView {
+  std::size_t size = 0;
+  std::span<const std::uint64_t> words;
+};
+
 /// Truth signature of the full atom set at one instant.
 class Signature {
  public:
@@ -51,17 +60,38 @@ class Signature {
 
   bool get(std::size_t atom) const;
   std::size_t size() const { return size_; }
+  SignatureView view() const { return {size_, words_}; }
 
   bool operator==(const Signature&) const = default;
-  std::size_t hash() const;
 
  private:
+  friend class PropositionDomain;
+  Signature(std::size_t size, std::vector<std::uint64_t> words)
+      : size_(size), words_(std::move(words)) {}
+
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
 };
 
+/// Transparent hash/equality, so index lookups accept a SignatureView.
 struct SignatureHash {
-  std::size_t operator()(const Signature& s) const { return s.hash(); }
+  using is_transparent = void;
+  std::size_t operator()(SignatureView s) const;
+  std::size_t operator()(const Signature& s) const { return (*this)(s.view()); }
+};
+
+struct SignatureEq {
+  using is_transparent = void;
+  bool operator()(SignatureView a, SignatureView b) const;
+  bool operator()(const Signature& a, const Signature& b) const {
+    return a == b;
+  }
+  bool operator()(SignatureView a, const Signature& b) const {
+    return (*this)(a, b.view());
+  }
+  bool operator()(const Signature& a, SignatureView b) const {
+    return (*this)(a.view(), b);
+  }
 };
 
 class PropositionDomain {
@@ -81,6 +111,10 @@ class PropositionDomain {
   PropId find(const Signature& sig) const;
 
   PropId internRow(const std::vector<common::BitVector>& row);
+  /// findRow(row) == find(evalRow(row)), without heap allocation for
+  /// domains of up to kInlineWords * 64 atoms (the atoms are evaluated
+  /// into stack words and looked up through a SignatureView). Safe to
+  /// call concurrently on a shared domain.
   PropId findRow(const std::vector<common::BitVector>& row) const;
 
   std::size_t size() const { return signatures_.size(); }
@@ -98,10 +132,18 @@ class PropositionDomain {
   bool operator==(const PropositionDomain&) const = default;
 
  private:
+  static constexpr std::size_t kInlineWords = 8;
+
+  /// Sets the row's true atoms in words[0, wordCount()), which the
+  /// caller has zeroed.
+  void evalWords(const std::vector<common::BitVector>& row,
+                 std::uint64_t* words) const;
+  std::size_t wordCount() const { return (atoms_.size() + 63) / 64; }
+
   trace::VariableSet vars_;
   std::vector<AtomicProposition> atoms_;
   std::vector<Signature> signatures_;
-  std::unordered_map<Signature, PropId, SignatureHash> index_;
+  std::unordered_map<Signature, PropId, SignatureHash, SignatureEq> index_;
 };
 
 /// A proposition trace (paper Def. 2): the proposition holding at each

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.hpp"
 
@@ -223,6 +224,12 @@ void PsmSimulator::Session::bufferObs(std::vector<Run>& buffer, PropId obs) {
 }
 
 double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
+  if (row.size() != sim_->is_input_.size()) {
+    throw std::invalid_argument(
+        "PsmSimulator::Session::step: row has " + std::to_string(row.size()) +
+        " values, the domain has " + std::to_string(sim_->is_input_.size()) +
+        " variables");
+  }
   // Input and interface Hamming distances for the regression output
   // functions.
   unsigned hd_in = 0;
@@ -288,7 +295,8 @@ PsmSimulator::Session::Advance PsmSimulator::Session::advanceCore(
     PropId obs, bool allow_checkpoint) {
   // Advance every viable alternative of the current state's assertion.
   const auto& alts = sim_->psm_->state(cur_).assertion.alts;
-  std::vector<Config> survivors;
+  std::vector<Config>& survivors = survivors_;
+  survivors.clear();
   bool exit_requested = false;
   for (const Config& c : configs_) {
     const PatternSeq& seq = alts[c.alt];
@@ -322,7 +330,7 @@ PsmSimulator::Session::Advance PsmSimulator::Session::advanceCore(
       }
       checkpoints_.push_back({cur_, obs, {}});
     }
-    configs_ = std::move(survivors);
+    configs_.swap(survivors);
     return Advance::Stayed;
   }
 

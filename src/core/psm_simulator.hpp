@@ -110,7 +110,9 @@ class PsmSimulator {
   class Session {
    public:
     /// Consumes the next row (one value per trace variable, inputs first)
-    /// and returns the power estimate for that instant.
+    /// and returns the power estimate for that instant. Throws
+    /// std::invalid_argument if the row's arity differs from the domain's
+    /// variable count.
     double step(const std::vector<common::BitVector>& row);
 
     std::size_t predictions() const { return predictions_; }
@@ -162,6 +164,9 @@ class PsmSimulator {
     /// The entry into cur_ was a non-deterministic HMM choice.
     bool entry_was_choice_ = false;
     std::vector<Config> configs_;
+    /// advanceCore's working buffer, swapped with configs_ on a stay so the
+    /// per-row path reuses both buffers instead of allocating.
+    std::vector<Config> survivors_;
     /// A forgone exit (survivors were preferred) that violation handling
     /// may revisit; buffer holds the observations seen since,
     /// run-length-encoded (power traces dwell, so runs are the natural

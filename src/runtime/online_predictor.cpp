@@ -27,6 +27,11 @@ PredictorCounters& counters() {
 }
 }  // namespace
 
+double secondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 OnlinePredictor::OnlinePredictor(const core::Psm& psm,
                                  const core::PropositionDomain& domain,
                                  core::SimOptions options)
@@ -47,11 +52,7 @@ void OnlinePredictor::reset() {
 
 double OnlinePredictor::predictRow(const std::vector<common::BitVector>& row) {
   const bool was_lost = session_->isLost();
-  const auto t0 = std::chrono::steady_clock::now();
   const double estimate = session_->step(row);
-  stats_.seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   ++stats_.rows;
   // Registry counters take per-row deltas of the session's cumulative
   // counters (stats_ still holds the previous row's snapshot here).
@@ -99,6 +100,7 @@ PredictorStats OnlinePredictor::predictStream(
     const std::function<void(std::size_t, double)>& sink) {
   reset();
   obs::Span span("predict.stream", "predict");
+  const auto t0 = std::chrono::steady_clock::now();
   std::vector<common::BitVector> row;
   std::size_t index = 0;
   while (reader.next(row)) {
@@ -106,6 +108,7 @@ PredictorStats OnlinePredictor::predictStream(
     if (sink) sink(index, estimate);
     ++index;
   }
+  addSeconds(secondsSince(t0));
   obs::metrics().gauge("predict.wsp_percent").set(stats_.wspPercent());
   obs::metrics().gauge("predict.lost_percent").set(stats_.lostPercent());
   obs::metrics()
@@ -127,11 +130,13 @@ PredictorStats OnlinePredictor::predictStream(
 std::vector<double> OnlinePredictor::predictTrace(
     const trace::FunctionalTrace& trace) {
   reset();
+  const auto t0 = std::chrono::steady_clock::now();
   std::vector<double> out;
   out.reserve(trace.length());
   for (std::size_t t = 0; t < trace.length(); ++t) {
     out.push_back(predictRow(trace.step(t)));
   }
+  addSeconds(secondsSince(t0));
   return out;
 }
 

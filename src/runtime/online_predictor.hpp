@@ -9,12 +9,13 @@
 // row at a time so memory stays constant however long the stream runs.
 //
 // Per-stream counters (rows, HMM-resolved predictions, resyncs, wall
-// time inside the predictor) support the production monitoring story;
+// time of the stream loop) support the production monitoring story;
 // predictStream() couples the predictor to a StreamingTraceReader for
 // the bounded-memory batch path. Per-row estimates are identical to
 // PsmSimulator::simulate on the same rows — streaming changes memory
 // behaviour, never results.
 
+#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <optional>
@@ -45,7 +46,11 @@ struct PredictorStats {
   /// Recoveries from a desynchronized stretch (lost -> synced, after the
   /// stream had synchronized at least once).
   std::size_t resyncs = 0;
-  /// Wall time spent inside predictRow().
+  /// Wall time of the stream loops that fed the rows: predictStream()
+  /// and predictTrace() time their whole loop (reading included) with
+  /// one clock read pair per call, and callers driving predictRow()
+  /// themselves report their loop through addSeconds(). predictRow()
+  /// reads no clock, so rows fed outside a timed loop add no time.
   double seconds = 0.0;
 
   double rowsPerSecond() const {
@@ -69,6 +74,10 @@ struct PredictorStats {
   }
 };
 
+/// Steady-clock seconds elapsed since `t0`: how the stream loops time
+/// themselves for OnlinePredictor::addSeconds.
+double secondsSince(std::chrono::steady_clock::time_point t0);
+
 class OnlinePredictor {
  public:
   /// Serves the given PSM/domain; both must outlive the predictor.
@@ -85,6 +94,10 @@ class OnlinePredictor {
   /// Ends the current stream and starts a fresh one (fresh HMM session,
   /// zeroed counters).
   void reset();
+
+  /// Adds the wall time of a caller-timed predictRow() loop to
+  /// stats().seconds.
+  void addSeconds(double seconds) { stats_.seconds += seconds; }
 
   const PredictorStats& stats() const { return stats_; }
   const core::PsmSimulator& simulator() const { return sim_; }

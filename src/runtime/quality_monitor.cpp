@@ -1,6 +1,7 @@
 #include "runtime/quality_monitor.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -251,6 +252,7 @@ PredictorStats QualityMonitor::predictStream(
     const std::function<void(std::size_t, double)>& sink) {
   reset();
   obs::Span span("predict.stream", "predict");
+  const auto t0 = std::chrono::steady_clock::now();
   std::vector<common::BitVector> row;
   std::size_t index = 0;
   while (reader.next(row)) {
@@ -258,6 +260,7 @@ PredictorStats QualityMonitor::predictStream(
     if (sink) sink(index, estimate);
     ++index;
   }
+  predictor_.addSeconds(secondsSince(t0));
   const PredictorStats stats = predictor_.stats();
   obs::metrics().gauge("predict.wsp_percent").set(stats.wspPercent());
   obs::metrics().gauge("predict.rows_per_second").set(stats.rowsPerSecond());

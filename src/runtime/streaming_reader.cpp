@@ -10,6 +10,20 @@
 
 namespace psmgen::runtime {
 
+namespace {
+/// Registry handles resolved once, so a refill looks nothing up by name.
+struct ReaderCounters {
+  obs::Counter& refills = obs::metrics().counter("reader.refills");
+  obs::Counter& rows = obs::metrics().counter("reader.rows");
+  obs::Gauge& peak = obs::metrics().gauge("reader.peak_resident_rows");
+};
+
+ReaderCounters& counters() {
+  static ReaderCounters c;
+  return c;
+}
+}  // namespace
+
 StreamingTraceReader::StreamingTraceReader(std::istream& is)
     : StreamingTraceReader(is, Options{}) {}
 
@@ -47,43 +61,43 @@ void StreamingTraceReader::readPreamble() {
   }
   ++line_no_;
   vars_ = trace::parseVariableDeclaration(line, line_no_);
-  buffer_.reserve(options_.chunk_rows);
 }
 
 void StreamingTraceReader::refill() {
-  buffer_.clear();
+  buffered_ = 0;
   buffer_pos_ = 0;
-  std::string line;
-  while (buffer_.size() < options_.chunk_rows && std::getline(*is_, line)) {
+  while (buffered_ < options_.chunk_rows) {
+    if (buffered_ == lines_.size()) lines_.emplace_back();
+    BufferedLine& line = lines_[buffered_];
+    if (!std::getline(*is_, line.text)) break;
     ++line_no_;
-    const std::string t = common::trim(line);
-    if (t.empty()) continue;
-    buffer_.push_back(trace::parseFunctionalRow(t, vars_, line_no_));
+    if (common::trimView(line.text).empty()) continue;
+    line.line_no = line_no_;
+    ++buffered_;
   }
-  if (buffer_.empty()) {
+  if (buffered_ == 0) {
     exhausted_ = true;
     return;
   }
   ++refills_;
-  peak_ = std::max(peak_, buffer_.size());
+  peak_ = std::max(peak_, buffered_);
   // Per-refill (not per-row): one counter bump per chunk keeps the
   // disabled-registry cost off the row-delivery fast path entirely.
-  obs::Registry& reg = obs::metrics();
-  reg.counter("reader.refills").add(1);
-  reg.counter("reader.rows").add(buffer_.size());
-  if (reg.enabled()) {
-    reg.gauge("reader.peak_resident_rows")
-        .set(static_cast<double>(peak_));
-  }
+  ReaderCounters& c = counters();
+  c.refills.add(1);
+  c.rows.add(buffered_);
+  c.peak.set(static_cast<double>(peak_));
 }
 
 bool StreamingTraceReader::next(std::vector<common::BitVector>& row) {
-  if (buffer_pos_ == buffer_.size()) {
+  if (buffer_pos_ == buffered_) {
     if (exhausted_) return false;
     refill();
     if (exhausted_) return false;
   }
-  row = std::move(buffer_[buffer_pos_++]);
+  const BufferedLine& line = lines_[buffer_pos_++];
+  trace::parseFunctionalRowInto(common::trimView(line.text), vars_,
+                                line.line_no, row);
   ++rows_;
   return true;
 }

@@ -112,26 +112,18 @@ void putBitVector(std::string& out, const common::BitVector& v) {
   }
 }
 
-common::BitVector readBitVector(const std::uint8_t* bytes, unsigned width) {
-  common::BitVector v(width);
-  const unsigned nbytes = (width + 7) / 8;
-  for (unsigned i = 0; i < nbytes; ++i) {
-    const std::uint8_t b = bytes[i];
-    if (b == 0) continue;
-    for (unsigned j = 0; j < 8; ++j) {
-      const unsigned bit = 8 * i + j;
-      if (bit < width && ((b >> j) & 1)) v.setBit(bit, true);
-    }
-  }
+void readBitVector(const std::uint8_t* bytes, unsigned width,
+                   common::BitVector& v) {
   // Bits above `width` in the last byte must be zero: a peer setting them
   // is packing against a different variable set than it negotiated.
+  const unsigned nbytes = (width + 7) / 8;
   const unsigned spare = 8 * nbytes - width;
   if (spare != 0 &&
       (bytes[nbytes - 1] >> (8 - spare)) != 0) {
     throw ProtocolError(ErrorCode::Protocol,
                         "rows: nonzero padding bits in packed value");
   }
-  return v;
+  v.assignBytes(bytes, width);
 }
 
 }  // namespace
@@ -256,6 +248,14 @@ HelloReply decodeHelloOk(const std::vector<std::uint8_t>& payload) {
 
 std::vector<std::vector<common::BitVector>> decodeRows(
     const std::vector<std::uint8_t>& payload, const trace::VariableSet& vars) {
+  std::vector<std::vector<common::BitVector>> rows;
+  decodeRowsInto(payload, vars, rows);
+  return rows;
+}
+
+void decodeRowsInto(const std::vector<std::uint8_t>& payload,
+                    const trace::VariableSet& vars,
+                    std::vector<std::vector<common::BitVector>>& rows) {
   Reader r(payload, "rows");
   const std::uint32_t count = r.u32();
   const std::size_t stride = rowBytes(vars);
@@ -265,18 +265,15 @@ std::vector<std::vector<common::BitVector>> decodeRows(
     throw ProtocolError(ErrorCode::Protocol,
                         "rows: payload size does not match row count");
   }
-  std::vector<std::vector<common::BitVector>> rows;
-  rows.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::vector<common::BitVector> row;
-    row.reserve(vars.size());
-    for (const auto& v : vars.all()) {
-      row.push_back(readBitVector(r.bytes((v.width + 7) / 8), v.width));
+  rows.resize(count);
+  for (auto& row : rows) {
+    row.resize(vars.size());
+    for (std::size_t k = 0; k < vars.size(); ++k) {
+      const unsigned width = vars[k].width;
+      readBitVector(r.bytes((width + 7) / 8), width, row[k]);
     }
-    rows.push_back(std::move(row));
   }
   r.done();
-  return rows;
 }
 
 std::vector<EstRow> decodeEst(const std::vector<std::uint8_t>& payload) {

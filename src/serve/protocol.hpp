@@ -175,6 +175,13 @@ HelloReply decodeHelloOk(const std::vector<std::uint8_t>& payload);
 /// the per-row byte layout). Throws ProtocolError on any inconsistency.
 std::vector<std::vector<common::BitVector>> decodeRows(
     const std::vector<std::uint8_t>& payload, const trace::VariableSet& vars);
+/// decodeRows into caller-owned storage: `rows` is resized to the frame's
+/// row count and every value overwritten in place, so a buffer reused
+/// across frames of the same size decodes without heap allocation. Same
+/// errors; `rows` holds unspecified values after a throw.
+void decodeRowsInto(const std::vector<std::uint8_t>& payload,
+                    const trace::VariableSet& vars,
+                    std::vector<std::vector<common::BitVector>>& rows);
 std::vector<EstRow> decodeEst(const std::vector<std::uint8_t>& payload);
 FinSummary decodeFinAck(const std::vector<std::uint8_t>& payload);
 ErrorFrame decodeError(const std::vector<std::uint8_t>& payload);

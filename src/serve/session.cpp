@@ -166,7 +166,8 @@ bool Session::handleFrame(const Frame& frame, std::string& out) {
                             "expected Rows or Fin while streaming");
       }
       const auto t0 = std::chrono::steady_clock::now();
-      const auto rows = decodeRows(frame.payload, model_.domain.variables());
+      decodeRowsInto(frame.payload, model_.domain.variables(), rows_buf_);
+      const auto& rows = rows_buf_;
       std::vector<EstRow> estimates;
       estimates.reserve(rows.size());
       std::uint32_t frame_flags = 0;

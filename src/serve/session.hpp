@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "obs/log.hpp"
 #include "runtime/online_predictor.hpp"
@@ -99,6 +100,8 @@ class Session {
   runtime::OnlinePredictor predictor_;
   runtime::QualityMonitor monitor_;
   FrameDecoder decoder_;
+  /// Decoded rows of the current frame, reused across frames.
+  std::vector<std::vector<common::BitVector>> rows_buf_;
   std::unique_ptr<obs::RateLimiter> limiter_;  ///< null when unlimited
   std::shared_ptr<SessionRecord> record_;      ///< null when unbound
   State state_ = State::AwaitHello;

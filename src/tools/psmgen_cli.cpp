@@ -775,6 +775,7 @@ int runServeStdio(const Args& args, const serialize::PsmModel& model,
   // Feed thread (this one): rows in, estimates out — the same stdout
   // contract as predict, while the server thread answers scrapes.
   std::printf("instant,power_w\n");
+  const auto t0 = std::chrono::steady_clock::now();
   std::vector<common::BitVector> row;
   std::size_t t = 0;
   while (!g_shutdown.load(std::memory_order_relaxed) && reader->next(row)) {
@@ -784,6 +785,7 @@ int runServeStdio(const Args& args, const serialize::PsmModel& model,
     std::printf("%zu,%.9e\n", t, estimate);
     ++t;
   }
+  predictor.addSeconds(runtime::secondsSince(t0));
   const runtime::PredictorStats& stats = predictor.stats();
   obs::metrics().gauge("predict.wsp_percent").set(stats.wspPercent());
   obs::metrics().gauge("predict.rows_per_second").set(stats.rowsPerSecond());

@@ -1,5 +1,6 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -78,25 +79,35 @@ VariableSet parseVariableDeclaration(const std::string& line,
   return vars;
 }
 
-std::vector<common::BitVector> parseFunctionalRow(const std::string& line,
+std::vector<common::BitVector> parseFunctionalRow(std::string_view line,
                                                   const VariableSet& vars,
                                                   std::size_t line_no) {
-  const auto cells = common::split(line, ',');
-  if (cells.size() != vars.size()) {
-    fail(line_no, "row arity mismatch (got " + std::to_string(cells.size()) +
+  std::vector<common::BitVector> row;
+  parseFunctionalRowInto(line, vars, line_no, row);
+  return row;
+}
+
+void parseFunctionalRowInto(std::string_view line, const VariableSet& vars,
+                            std::size_t line_no,
+                            std::vector<common::BitVector>& row) {
+  const std::size_t cells =
+      static_cast<std::size_t>(std::count(line.begin(), line.end(), ',')) + 1;
+  if (cells != vars.size()) {
+    fail(line_no, "row arity mismatch (got " + std::to_string(cells) +
                       " cells, expected " + std::to_string(vars.size()) + ")");
   }
-  std::vector<common::BitVector> row;
-  row.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
+  row.resize(cells);
+  std::size_t start = 0;
+  for (std::size_t i = 0; i < cells; ++i) {
+    const std::size_t end = std::min(line.find(',', start), line.size());
     try {
-      row.push_back(common::BitVector::fromHex(cells[i], vars[i].width));
+      row[i].assignHex(line.substr(start, end - start), vars[i].width);
     } catch (const std::exception& e) {
       fail(line_no, "bad value for variable '" + vars[i].name +
                         "': " + e.what());
     }
+    start = end + 1;
   }
-  return row;
 }
 
 void writeFunctionalTrace(std::ostream& os, const FunctionalTrace& trace) {
@@ -122,7 +133,7 @@ FunctionalTrace readFunctionalTrace(std::istream& is) {
   std::size_t line_no = 2;
   while (std::getline(is, line)) {
     ++line_no;
-    const std::string t = common::trim(line);
+    const std::string_view t = common::trimView(line);
     if (t.empty()) continue;
     trace.append(parseFunctionalRow(t, trace.variables(), line_no));
   }

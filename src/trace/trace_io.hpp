@@ -21,6 +21,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/functional_trace.hpp"
@@ -45,9 +46,17 @@ std::string formatVariableDeclaration(const VariableSet& vars);
 /// Parses one data row ("<hex>,<hex>,...") against `vars`. Throws
 /// std::runtime_error naming `line_no` on arity mismatch or a cell that
 /// is not valid hex for its variable's width.
-std::vector<common::BitVector> parseFunctionalRow(const std::string& line,
+std::vector<common::BitVector> parseFunctionalRow(std::string_view line,
                                                   const VariableSet& vars,
                                                   std::size_t line_no);
+
+/// parseFunctionalRow into caller-owned storage: `row` is resized to
+/// vars.size() and every value overwritten in place, so a row reused
+/// across calls is parsed without heap allocation. Same errors; `row`
+/// holds unspecified values after a throw.
+void parseFunctionalRowInto(std::string_view line, const VariableSet& vars,
+                            std::size_t line_no,
+                            std::vector<common::BitVector>& row);
 
 void writeFunctionalTrace(std::ostream& os, const FunctionalTrace& trace);
 FunctionalTrace readFunctionalTrace(std::istream& is);

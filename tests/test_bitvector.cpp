@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/bitvector.hpp"
 #include "common/rng.hpp"
 
@@ -53,6 +56,68 @@ TEST(BitVector, HexRoundTrip) {
   EXPECT_EQ(w.toUint64(), 0x1fu);
   EXPECT_THROW(BitVector::fromHex("100", 8), std::invalid_argument);
   EXPECT_THROW(BitVector::fromHex("zz"), std::invalid_argument);
+}
+
+/// The message fromHex/assignHex throws for `hex`, or "" if it parses.
+template <typename Parse>
+std::string parseError(Parse parse) {
+  try {
+    parse();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BitVector, AssignHexMatchesFromHexOnRandomWidths) {
+  Rng rng(0x5eed);
+  BitVector reused = BitVector::ones(300);
+  for (int i = 0; i < 500; ++i) {
+    const unsigned w = 1 + static_cast<unsigned>(rng.uniform(300));
+    const BitVector v = rng.bits(w);
+    const std::string hex = v.toHex();
+    reused.assignHex(hex, w);
+    EXPECT_EQ(reused, BitVector::fromHex(hex, w)) << "w=" << w;
+    EXPECT_EQ(reused, v) << "w=" << w;
+    reused.assignHex(hex);
+    EXPECT_EQ(reused, BitVector::fromHex(hex)) << "w=" << w;
+
+    // Invalid inputs: a nibble above the width, a top nibble that spills
+    // over a non-nibble width, a bad character somewhere in the string.
+    std::vector<std::string> bad = {"1" + hex};
+    if (w % 4 != 0) bad.push_back("f" + hex.substr(1));
+    std::string typo = hex;
+    typo[rng.uniform(typo.size())] = "g -x"[rng.uniform(4)];
+    bad.push_back(typo);
+    for (const std::string& b : bad) {
+      const std::string want =
+          parseError([&] { (void)BitVector::fromHex(b, w); });
+      ASSERT_FALSE(want.empty()) << b << " w=" << w;
+      EXPECT_EQ(parseError([&] { reused.assignHex(b, w); }), want)
+          << b << " w=" << w;
+    }
+  }
+}
+
+TEST(BitVector, AssignHexReuseFromWideToNarrowClearsHighBits) {
+  BitVector v = BitVector::ones(262);
+  v.assignHex("5", 3);
+  EXPECT_EQ(v, BitVector(3, 5));
+  EXPECT_EQ(v.limbCount(), 1u);
+  EXPECT_EQ(v.limb(0), 5u);
+  EXPECT_EQ(v.hash(), BitVector(3, 5).hash());
+  v.assignHex("0", 200);
+  EXPECT_TRUE(v.isZero());
+  EXPECT_EQ(v, BitVector(200));
+}
+
+TEST(BitVector, AssignBytesIsLittleEndianAndTrims) {
+  BitVector v = BitVector::ones(130);
+  const std::uint8_t bytes[] = {0x34, 0x12, 0xff};
+  v.assignBytes(bytes, 17);  // bits above 17 in the last byte are dropped
+  EXPECT_EQ(v, BitVector(17, 0x11234));
+  v.assignBytes(bytes, 16);
+  EXPECT_EQ(v, BitVector(16, 0x1234));
 }
 
 TEST(BitVector, HexOfNonNibbleWidth) {

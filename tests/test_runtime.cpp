@@ -112,6 +112,67 @@ TEST(StreamingReader, ArityMismatchNamesTheLine) {
   }
 }
 
+/// toCsv(t) with every third data row padded with spaces/tabs/CR and a
+/// blank or whitespace-only line after every fifth.
+std::string paddedCsv(const trace::FunctionalTrace& t) {
+  std::istringstream is(toCsv(t));
+  std::string out;
+  std::string line;
+  for (std::size_t n = 0; std::getline(is, line); ++n) {
+    if (n >= 2 && n % 3 == 0) line = " \t" + line + "  \r";
+    out += line + "\n";
+    if (n >= 2 && n % 5 == 0) out += n % 2 == 0 ? "\n" : "  \t\n";
+  }
+  return out;
+}
+
+TEST(StreamingReader, SameRowsForEveryChunkSize) {
+  const trace::FunctionalTrace t = randomTrace(50, 6);
+  const std::string csv = paddedCsv(t);
+  // The batch loader skips the same lines the reader must skip.
+  std::istringstream batch(csv);
+  ASSERT_EQ(trace::readFunctionalTrace(batch).length(), t.length());
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{4096}}) {
+    std::istringstream is(csv);
+    runtime::StreamingTraceReader reader(is, {chunk});
+    std::vector<BitVector> row;
+    std::size_t i = 0;
+    while (reader.next(row)) {
+      ASSERT_LT(i, t.length()) << "chunk " << chunk;
+      EXPECT_EQ(row, t.step(i)) << "chunk " << chunk << " row " << i;
+      ++i;
+    }
+    EXPECT_EQ(i, t.length()) << "chunk " << chunk;
+    EXPECT_EQ(reader.refills(), (t.length() + chunk - 1) / chunk);
+    EXPECT_LE(reader.peakBufferedRows(), chunk);
+  }
+}
+
+TEST(StreamingReader, BadRowThrowsAfterEveryEarlierRow) {
+  std::string csv = toCsv(randomTrace(7, 7));  // lines 3..9 are rows
+  csv += "\n";                                 // line 10: blank
+  csv += "zz,1\n";                             // line 11: bad hex
+  csv += "1,1\n";
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{4096}}) {
+    std::istringstream is(csv);
+    runtime::StreamingTraceReader reader(is, {chunk});
+    std::vector<BitVector> row;
+    std::size_t delivered = 0;
+    try {
+      while (reader.next(row)) ++delivered;
+      FAIL() << "expected a parse error, chunk " << chunk;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(delivered, 7u) << "chunk " << chunk;
+      EXPECT_NE(std::string(e.what()).find("line 11"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("bad value"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // --- predictor ----------------------------------------------------------
 
 struct TrainedRam {

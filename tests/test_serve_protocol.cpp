@@ -159,6 +159,12 @@ TEST(ServeProtocol, RowsRoundTripWithMultiLimbValues) {
       {BitVector(1, 0), BitVector(262), BitVector(8, 0xFF)},
   };
   EXPECT_EQ(decodeRows(payloadOf(encodeRows(rows)), vars), rows);
+  // A reused buffer holding more, wider and differently shaped rows is
+  // overwritten exactly.
+  std::vector<std::vector<BitVector>> reused = {
+      {BitVector::ones(300)}, {}, {BitVector::ones(5), wide, wide, wide}};
+  decodeRowsInto(payloadOf(encodeRows(rows)), vars, reused);
+  EXPECT_EQ(reused, rows);
 }
 
 TEST(ServeProtocol, RowsRejectNonzeroPaddingBits) {

@@ -182,6 +182,20 @@ TEST(Simulator, StreamingSessionMatchesBatch) {
   EXPECT_EQ(session.lostInstants(), batch.lost_instants);
 }
 
+TEST(Simulator, StepRejectsRowOfWrongArity) {
+  const auto train = modeTrace({{0, 10}, {1, 5}, {0, 10}});
+  Built b = buildFlow({train}, {1.0, 2.0});
+  auto session = b.flow->simulator().startSession();
+  EXPECT_NO_THROW(session.step({BitVector(2, 0)}));
+  // Short and long rows are rejected before any value is indexed.
+  EXPECT_THROW(session.step({}), std::invalid_argument);
+  EXPECT_THROW(session.step({BitVector(2, 0), BitVector(2, 1)}),
+               std::invalid_argument);
+  // The rejected rows left the session untouched.
+  EXPECT_DOUBLE_EQ(session.step({BitVector(2, 0)}), 1.0);
+  EXPECT_EQ(session.lostInstants(), 0u);
+}
+
 TEST(Simulator, EmptyPsmIsRejected) {
   Psm psm;
   PropositionDomain domain{trace::VariableSet{}, {}};
