@@ -1,7 +1,6 @@
 #include "obs/exposition.hpp"
 
 #include <cinttypes>
-#include <limits>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
@@ -72,17 +71,6 @@ std::string renderBucketLabels(
   return out;
 }
 
-/// The most recent exemplar with value in (`lower`, `upper`]; nullptr
-/// when none lands in that bucket. `exemplars` is oldest-first.
-const Exemplar* newestExemplarIn(const std::vector<Exemplar>& exemplars,
-                                 double lower, double upper) {
-  const Exemplar* found = nullptr;
-  for (const Exemplar& e : exemplars) {
-    if (e.value > lower && e.value <= upper) found = &e;
-  }
-  return found;
-}
-
 /// OpenMetrics exemplar suffix: ` # {event_id="N"} value ts_seconds`;
 /// the timestamp is the exemplar's Unix wall-clock stamp in seconds,
 /// printed in fixed point — %g's 9 significant digits would round a
@@ -109,13 +97,6 @@ void appendFamilyHeader(std::string& out, const std::string& name,
 }
 
 }  // namespace
-
-const std::vector<double>& defaultBuckets() {
-  static const std::vector<double> kBuckets = {
-      0.5,  1.0,   2.5,   5.0,   10.0,   25.0,   50.0,
-      100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0};
-  return kBuckets;
-}
 
 std::string sanitizeMetricName(std::string_view name) {
   std::string out;
@@ -233,13 +214,17 @@ bool acceptsOpenMetrics(std::string_view accept_header) {
 
 void writePrometheus(std::ostream& os, const Registry& registry,
                      const PrometheusOptions& options) {
-  const std::vector<double>& bounds =
-      options.buckets.empty() ? defaultBuckets() : options.buckets;
-  const RegistrySnapshot snap = registry.snapshot(bounds);
+  const RegistrySnapshot snap = registry.snapshot();
   const std::string labels = renderLabelBlock(options.const_labels);
-  // Exemplar syntax exists only in OpenMetrics; a 0.0.4 scrape must
-  // never contain it or the whole scrape fails to parse.
-  const bool exemplars = options.openmetrics && options.exemplars;
+  // The `le` label blocks of the fixed ladder, shared by every histogram.
+  std::vector<std::string> bucket_labels;
+  bucket_labels.reserve(kHistogramBuckets);
+  for (const double bound : kHistogramBounds) {
+    std::string le;
+    appendNumber(le, bound);
+    bucket_labels.push_back(renderBucketLabels(options.const_labels, le));
+  }
+  bucket_labels.push_back(renderBucketLabels(options.const_labels, "+Inf"));
 
   std::string out;
   out.reserve(4096);
@@ -265,29 +250,18 @@ void writePrometheus(std::ostream& os, const Registry& registry,
   for (const auto& h : snap.histograms) {
     const std::string name = options.prefix + sanitizeMetricName(h.name);
     appendFamilyHeader(out, name, h.name, "histogram");
-    double lower = -std::numeric_limits<double>::infinity();
-    for (std::size_t b = 0; b < bounds.size(); ++b) {
-      std::string le;
-      appendNumber(le, bounds[b]);
-      out += name + "_bucket" + renderBucketLabels(options.const_labels, le) +
-             ' ';
-      appendCount(out, h.cumulative[b]);
-      if (exemplars) {
-        const Exemplar* e = newestExemplarIn(h.exemplars, lower, bounds[b]);
-        if (e != nullptr) appendExemplar(out, *e);
+    std::uint64_t cumulative = 0;
+    for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
+      cumulative += h.stats.buckets[b];
+      out += name + "_bucket" + bucket_labels[b] + ' ';
+      appendCount(out, cumulative);
+      // Exemplar syntax exists only in OpenMetrics; a 0.0.4 scrape must
+      // never contain it or the whole scrape fails to parse.
+      if (options.openmetrics && h.exemplars[b].event_id != 0) {
+        appendExemplar(out, h.exemplars[b]);
       }
       out += '\n';
-      lower = bounds[b];
     }
-    out += name + "_bucket" + renderBucketLabels(options.const_labels, "+Inf") +
-           ' ';
-    appendCount(out, h.stats.count);
-    if (exemplars) {
-      const Exemplar* e = newestExemplarIn(
-          h.exemplars, lower, std::numeric_limits<double>::infinity());
-      if (e != nullptr) appendExemplar(out, *e);
-    }
-    out += '\n';
     out += name + "_sum" + labels + ' ';
     appendNumber(out, h.stats.sum);
     out += '\n';

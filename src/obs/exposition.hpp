@@ -12,10 +12,11 @@
 //   - counters become `<prefix><name>_total` with `# TYPE ... counter`,
 //   - gauges become `<prefix><name>` with `# TYPE ... gauge`,
 //   - histograms become the `_bucket{le="..."}` / `_sum` / `_count`
-//     triple with cumulative bucket counts; the `le="+Inf"` bucket always
-//     equals `_count` exactly (the registry's histograms cap their sample
-//     buffer, so intermediate buckets cover the buffered prefix while
-//     +Inf stays exact — the sequence is monotone either way).
+//     triple over the registry's fixed ladder (kHistogramBounds); the
+//     cumulative counts come from one copy of the bucket counts, so they
+//     are monotone in `le` and `le="+Inf"` equals `_count` in every
+//     scrape. OpenMetrics bucket lines carry that bucket's newest
+//     exemplar.
 //
 // Registry names are dotted (`predict.resync_latency_rows`); Prometheus
 // names must match [a-zA-Z_:][a-zA-Z0-9_:]*, so every invalid character
@@ -42,24 +43,16 @@ struct PrometheusOptions {
   /// Labels attached to every sample, e.g. {{"model", "ram.psm"}}.
   /// Names are sanitized, values escaped.
   std::vector<std::pair<std::string, std::string>> const_labels;
-  /// Histogram bucket upper bounds (sorted ascending; +Inf is implicit).
-  /// Empty selects defaultBuckets().
-  std::vector<double> buckets;
   /// Renders the OpenMetrics 1.0 exposition instead of text format
   /// 0.0.4: counter TYPE/HELP lines name the family without the
   /// `_total` suffix (samples keep it), the document ends with the
-  /// mandatory `# EOF` terminator, and histogram bucket lines may carry
-  /// exemplars. Serve it as kOpenMetricsContentType — and only to
-  /// scrapers that negotiated it via Accept (see acceptsOpenMetrics()):
-  /// the classic 0.0.4 parser rejects both exemplars and `# EOF`.
+  /// mandatory `# EOF` terminator, and each histogram bucket line
+  /// carries the newest exemplar recorded into that bucket, if any,
+  /// linking it to its flight-recorder event window. Serve it as
+  /// kOpenMetricsContentType — and only to scrapers that negotiated it
+  /// via Accept (see acceptsOpenMetrics()): the classic 0.0.4 parser
+  /// rejects both exemplars and `# EOF`.
   bool openmetrics = false;
-  /// Appends exemplars (` # {event_id="N"} value ts`) to histogram
-  /// bucket lines when the histogram recorded any: each bucket carries
-  /// the most recent exemplar falling inside it, linking a latency
-  /// bucket to its flight-recorder event window. Exemplar syntax exists
-  /// only in OpenMetrics, so this takes effect solely when `openmetrics`
-  /// is also set — a 0.0.4 document never contains exemplars.
-  bool exemplars = true;
 };
 
 /// Content-Type values for the two supported expositions.
@@ -77,10 +70,6 @@ inline constexpr const char* kOpenMetricsContentType =
 /// `application/openmetrics-text;q=0, text/plain` is an explicit
 /// opt-out. Unparsable q parameters fall back to the RFC default of 1.
 bool acceptsOpenMetrics(std::string_view accept_header);
-
-/// The default histogram bucket bounds: a 1-2.5-5 decade ladder wide
-/// enough for both row counts (resync latency) and millisecond timings.
-const std::vector<double>& defaultBuckets();
 
 /// Maps a registry name onto the Prometheus name charset:
 /// [a-zA-Z0-9_:] with a non-digit first character.

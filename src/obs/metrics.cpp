@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <ostream>
 
 namespace psmgen::obs {
@@ -30,24 +31,54 @@ void appendJsonKey(std::string& out, const std::string& name) {
   out += "\": ";
 }
 
+/// Index of the bucket holding `v`: the first bound >= v, or the +Inf
+/// bucket past the last bound (NaN included).
+std::size_t bucketIndex(double v) {
+  if (!(v <= kHistogramBounds.back())) return kHistogramBounds.size();
+  return static_cast<std::size_t>(
+      std::lower_bound(kHistogramBounds.begin(), kHistogramBounds.end(), v) -
+      kHistogramBounds.begin());
+}
+
+/// The bucket-resolved nearest-rank quantile documented on
+/// Histogram::quantile(). min/max clamp without std::clamp's lo <= hi
+/// precondition: a reset racing a record may leave them crossed.
+double nearestRankBound(const HistogramSnapshot& s, double q) {
+  if (s.count == 0) return 0.0;
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(std::clamp(q, 0.0, 1.0) *
+                                               static_cast<double>(s.count))));
+  std::uint64_t below = 0;
+  std::size_t b = 0;
+  while (b < kHistogramBounds.size() && below + s.buckets[b] < rank) {
+    below += s.buckets[b++];
+  }
+  const double upper =
+      b < kHistogramBounds.size() ? kHistogramBounds[b] : s.max;
+  return std::min(std::max(upper, s.min), s.max);
+}
+
 }  // namespace
 
 void Histogram::record(double v) {
   if (!enabled_->load(std::memory_order_relaxed)) return;
-  common::MutexLock lock(mutex_);
-  if (count_ == 0) {
-    min_ = v;
-    max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
+  double lo = min_.load(std::memory_order_relaxed);
+  while (v < lo &&
+         !min_.compare_exchange_weak(lo, v, std::memory_order_relaxed)) {
   }
-  ++count_;
-  sum_ += v;
-  if (samples_.size() < kMaxSamples) samples_.push_back(v);
+  double hi = max_.load(std::memory_order_relaxed);
+  while (v > hi &&
+         !max_.compare_exchange_weak(hi, v, std::memory_order_relaxed)) {
+  }
+  sum_.fetch_add(v, std::memory_order_relaxed);
+  buckets_[bucketIndex(v)].fetch_add(1, std::memory_order_release);
 }
 
 void Histogram::record(double v, std::uint64_t event_id) {
+  if (event_id == 0) {
+    record(v);
+    return;
+  }
   record(v, event_id,
          static_cast<std::uint64_t>(
              std::chrono::duration_cast<std::chrono::microseconds>(
@@ -59,79 +90,44 @@ void Histogram::record(double v, std::uint64_t event_id, std::uint64_t ts_us) {
   if (!enabled_->load(std::memory_order_relaxed)) return;
   record(v);
   if (event_id == 0) return;
-  common::MutexLock lock(mutex_);
-  if (exemplars_.size() < kMaxExemplars) {
-    exemplars_.push_back({v, event_id, ts_us});
-    exemplar_next_ = exemplars_.size() % kMaxExemplars;
-  } else {
-    exemplars_[exemplar_next_] = {v, event_id, ts_us};
-    exemplar_next_ = (exemplar_next_ + 1) % kMaxExemplars;
-  }
+  common::MutexLock lock(exemplar_mutex_);
+  exemplars_[bucketIndex(v)] = {v, event_id, ts_us};
 }
 
-std::vector<Exemplar> Histogram::exemplars() const {
-  common::MutexLock lock(mutex_);
-  std::vector<Exemplar> out;
-  out.reserve(exemplars_.size());
-  if (exemplars_.size() < kMaxExemplars) {
-    out = exemplars_;
-  } else {
-    for (std::size_t i = 0; i < exemplars_.size(); ++i) {
-      out.push_back(exemplars_[(exemplar_next_ + i) % exemplars_.size()]);
-    }
-  }
-  return out;
-}
-
-double Histogram::quantileLocked(double q, std::vector<double>& scratch) const {
-  if (samples_.empty()) return 0.0;
-  scratch = samples_;
-  std::sort(scratch.begin(), scratch.end());
-  q = std::clamp(q, 0.0, 1.0);
-  // Nearest-rank: the smallest value with at least ceil(q * n) samples
-  // at or below it.
-  const std::size_t n = scratch.size();
-  std::size_t rank =
-      static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
-  if (rank == 0) rank = 1;
-  return scratch[std::min(rank, n) - 1];
+std::array<Exemplar, kHistogramBuckets> Histogram::exemplars() const {
+  common::MutexLock lock(exemplar_mutex_);
+  return exemplars_;
 }
 
 double Histogram::quantile(double q) const {
-  common::MutexLock lock(mutex_);
-  std::vector<double> scratch;
-  return quantileLocked(q, scratch);
-}
-
-std::vector<std::uint64_t> Histogram::cumulativeBuckets(
-    const std::vector<double>& upper_bounds) const {
-  common::MutexLock lock(mutex_);
-  std::vector<std::uint64_t> out(upper_bounds.size(), 0);
-  for (const double v : samples_) {
-    for (std::size_t b = 0; b < upper_bounds.size(); ++b) {
-      if (v <= upper_bounds[b]) {
-        ++out[b];
-        break;
-      }
-    }
-  }
-  // Prefix-sum the per-bucket tallies into cumulative counts.
-  for (std::size_t b = 1; b < out.size(); ++b) out[b] += out[b - 1];
-  return out;
+  return nearestRankBound(snapshot(), q);
 }
 
 HistogramSnapshot Histogram::snapshot() const {
-  common::MutexLock lock(mutex_);
   HistogramSnapshot s;
-  s.count = count_;
-  s.sum = sum_;
-  s.min = min_;
-  s.max = max_;
-  s.mean = count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
-  std::vector<double> scratch;
-  s.p50 = quantileLocked(0.50, scratch);
-  s.p95 = quantileLocked(0.95, scratch);
+  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
+    s.buckets[b] = buckets_[b].load(std::memory_order_acquire);
+    s.count += s.buckets[b];
+  }
+  if (s.count == 0) return s;
+  s.sum = sum_.load(std::memory_order_relaxed);
+  s.min = min_.load(std::memory_order_relaxed);
+  s.max = max_.load(std::memory_order_relaxed);
+  s.mean = s.sum / static_cast<double>(s.count);
+  s.p50 = nearestRankBound(s, 0.50);
+  s.p95 = nearestRankBound(s, 0.95);
   return s;
+}
+
+void Histogram::clear() {
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  common::MutexLock lock(exemplar_mutex_);
+  exemplars_.fill(Exemplar{});
 }
 
 Counter& Registry::counter(std::string_view name) {
@@ -178,16 +174,7 @@ void Registry::reset() {
   for (auto& [name, g] : gauges_) {
     g->value_.store(0.0, std::memory_order_relaxed);
   }
-  for (auto& [name, h] : histograms_) {
-    common::MutexLock hlock(h->mutex_);
-    h->count_ = 0;
-    h->sum_ = 0.0;
-    h->min_ = 0.0;
-    h->max_ = 0.0;
-    h->samples_.clear();
-    h->exemplars_.clear();
-    h->exemplar_next_ = 0;
-  }
+  for (auto& [name, h] : histograms_) h->clear();
 }
 
 void Registry::writeJson(std::ostream& os) const {
@@ -243,8 +230,7 @@ void Registry::writeJson(std::ostream& os) const {
   os << out;
 }
 
-RegistrySnapshot Registry::snapshot(
-    const std::vector<double>& histogram_bounds) const {
+RegistrySnapshot Registry::snapshot() const {
   common::MutexLock lock(mutex_);
   RegistrySnapshot s;
   s.counters.reserve(counters_.size());
@@ -256,9 +242,6 @@ RegistrySnapshot Registry::snapshot(
     RegistrySnapshot::HistogramEntry e;
     e.name = name;
     e.stats = h->snapshot();
-    if (!histogram_bounds.empty()) {
-      e.cumulative = h->cumulativeBuckets(histogram_bounds);
-    }
     e.exemplars = h->exemplars();
     s.histograms.push_back(std::move(e));
   }

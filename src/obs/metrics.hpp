@@ -8,8 +8,10 @@
 // live in hot paths (mergeability tests, per-pattern XU recognitions,
 // per-row prediction) without taxing the default build. Enabled counters
 // are relaxed atomics (exact under concurrency, no ordering guarantees);
-// histograms take a mutex and are meant for coarser events (per-state,
-// per-resync), not per-row ones.
+// histograms count into one fixed bucket ladder (kHistogramBounds) with
+// atomics too, so record() takes no lock either — only attaching an
+// exemplar (record() with a non-zero event id) takes a per-histogram
+// mutex.
 //
 // Instrument handles returned by counter()/gauge()/histogram() are
 // stable for the life of the registry; hot call sites cache them in
@@ -18,10 +20,12 @@
 // Naming convention (see DESIGN.md for the full catalogue):
 //   <subsystem>.<noun>[.<qualifier>]   e.g. merge.test.welch.accepted
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -69,6 +73,20 @@ class Gauge {
   const std::atomic<bool>* enabled_;
 };
 
+/// The one histogram bucket ladder, fixed at compile time: 1-2.5-5 steps
+/// per decade from 1e-6 to 1e4 upper bounds, so every instrument fits it
+/// without a per-instrument option — refine sigmas in watts (~1e-6),
+/// correlation magnitudes (~0.01-1), frame latencies in ms (~0.01-1) and
+/// resync latencies in rows (1-1e4). Bucket b holds the samples v with
+/// kHistogramBounds[b-1] < v <= kHistogramBounds[b] (Prometheus `le`
+/// semantics); the final bucket, index kHistogramBounds.size(), is +Inf.
+inline constexpr std::array<double, 31> kHistogramBounds = {
+    1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
+    1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,  0.25,   0.5,
+    1.0,  2.5,    5.0,  10.0, 25.0,   50.0, 100.0, 250.0, 500.0,
+    1e3,  2.5e3,  5e3,  1e4};
+inline constexpr std::size_t kHistogramBuckets = kHistogramBounds.size() + 1;
+
 struct HistogramSnapshot {
   std::size_t count = 0;
   double sum = 0.0;
@@ -77,11 +95,15 @@ struct HistogramSnapshot {
   double mean = 0.0;
   double p50 = 0.0;
   double p95 = 0.0;
+  /// Per-bucket (not cumulative) counts over kHistogramBounds + {+Inf};
+  /// they sum to `count`.
+  std::array<std::uint64_t, kHistogramBuckets> buckets{};
 };
 
 /// One OpenMetrics exemplar: a recent sample annotated with the id of
 /// the flight-recorder event that produced it, so a latency bucket in a
 /// scrape links back to the exact `/debug/events` window around it.
+/// event_id 0 marks an empty slot.
 struct Exemplar {
   double value = 0.0;
   std::uint64_t event_id = 0;
@@ -92,21 +114,16 @@ struct Exemplar {
   std::uint64_t ts_us = 0;
 };
 
+/// Fixed-bucket histogram. record() is lock-free: one bucket fetch_add,
+/// one atomic add to the sum and CAS loops on min/max, so counts stay
+/// exact forever and a scrape never stalls a recorder.
 class Histogram {
  public:
-  /// Sample-buffer cap: count/sum/min/max stay exact beyond it; the
-  /// quantiles are then computed over the first kMaxSamples values
-  /// (deterministic, no reservoir randomness).
-  static constexpr std::size_t kMaxSamples = 65536;
-
-  /// Recent exemplars kept per histogram; newest wins when full.
-  static constexpr std::size_t kMaxExemplars = 64;
-
   void record(double v);
 
-  /// Records `v` and — when `event_id` is non-zero — attaches it as an
-  /// exemplar stamped with the current Unix wall-clock time, so the
-  /// OpenMetrics exposition can link the sample's bucket to its
+  /// Records `v` and — when `event_id` is non-zero — makes it its
+  /// bucket's exemplar, stamped with the current Unix wall-clock time,
+  /// so the OpenMetrics exposition can link the bucket to the sample's
   /// flight-recorder window.
   void record(double v, std::uint64_t event_id);
 
@@ -115,43 +132,33 @@ class Histogram {
   /// code uses the self-stamping overload.
   void record(double v, std::uint64_t event_id, std::uint64_t ts_us);
 
-  /// The buffered exemplar ring, oldest first.
-  std::vector<Exemplar> exemplars() const;
+  /// The newest exemplar recorded into each bucket, indexed like
+  /// HistogramSnapshot::buckets.
+  std::array<Exemplar, kHistogramBuckets> exemplars() const;
 
-  /// Nearest-rank quantile over the buffered samples, q in [0, 1];
-  /// 0 when no sample was recorded.
+  /// Nearest-rank quantile, q in [0, 1], resolved to its bucket: the
+  /// upper bound of the bucket holding the ceil(q * count)-th smallest
+  /// sample, clamped to [min, max]; 0 when no sample was recorded.
   double quantile(double q) const;
 
   HistogramSnapshot snapshot() const;
 
-  /// Cumulative counts of samples <= each upper bound (bounds must be
-  /// sorted ascending), computed over the buffered samples. The caller's
-  /// implicit +Inf bucket is the exact total count() — which can exceed
-  /// the last finite bucket past the kMaxSamples buffer cap, never the
-  /// other way round, so the full sequence including +Inf stays monotone
-  /// (Prometheus histogram semantics).
-  std::vector<std::uint64_t> cumulativeBuckets(
-      const std::vector<double>& upper_bounds) const;
-
  private:
   friend class Registry;
   explicit Histogram(const std::atomic<bool>* enabled) : enabled_(enabled) {}
-  double quantileLocked(double q, std::vector<double>& scratch) const
-      REQUIRES(mutex_);
+  void clear();
 
-  // Lock table — mutex_ protects every aggregate below (count_/sum_/
-  // min_/max_/samples_ and the exemplar ring). Registry::reset() also
-  // takes this mutex (after its own) to zero the aggregates in place.
-  mutable common::Mutex mutex_;
-  std::size_t count_ GUARDED_BY(mutex_) = 0;
-  double sum_ GUARDED_BY(mutex_) = 0.0;
-  double min_ GUARDED_BY(mutex_) = 0.0;
-  double max_ GUARDED_BY(mutex_) = 0.0;
-  std::vector<double> samples_ GUARDED_BY(mutex_);
-  /// Exemplar ring: exemplars_[exemplar_next_ % kMaxExemplars] is the
-  /// oldest once full.
-  std::vector<Exemplar> exemplars_ GUARDED_BY(mutex_);
-  std::size_t exemplar_next_ GUARDED_BY(mutex_) = 0;
+  // Each bucket increment is a release that publishes the sample's
+  // min/max/sum updates: a snapshot that counts a sample also sees it in
+  // min and max. Only exemplar slots take a lock, and only record()
+  // calls carrying an event id write them.
+  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets_{};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
+  mutable common::Mutex exemplar_mutex_;
+  std::array<Exemplar, kHistogramBuckets> exemplars_
+      GUARDED_BY(exemplar_mutex_);
   const std::atomic<bool>* enabled_;
 };
 
@@ -162,11 +169,7 @@ struct RegistrySnapshot {
   struct HistogramEntry {
     std::string name;
     HistogramSnapshot stats;
-    /// Cumulative counts parallel to the bounds passed to snapshot();
-    /// empty when no bounds were requested.
-    std::vector<std::uint64_t> cumulative;
-    /// Recent exemplars, oldest first; empty when none were recorded.
-    std::vector<Exemplar> exemplars;
+    std::array<Exemplar, kHistogramBuckets> exemplars;
   };
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
@@ -201,17 +204,16 @@ class Registry {
   ///                            "p95": ..}, ...}}
   void writeJson(std::ostream& os) const;
 
-  /// Copies every instrument; `histogram_bounds` (sorted ascending) also
-  /// fills each histogram entry's cumulative bucket counts.
-  RegistrySnapshot snapshot(
-      const std::vector<double>& histogram_bounds = {}) const;
+  /// Copies every instrument.
+  RegistrySnapshot snapshot() const;
 
  private:
   // Lock table — mutex_ guards the three instrument maps (registration
   // and iteration). Instrument *values* are their own concern: counters
-  // and gauges are atomics, each histogram has its own mutex. Lock order
-  // is always Registry::mutex_ before Histogram::mutex_ (reset(),
-  // writeJson(), snapshot()); no path takes them in the other order.
+  // and gauges are atomics, and so are histogram buckets; only a
+  // histogram's exemplar slots have their own mutex. Lock order is always
+  // Registry::mutex_ before Histogram::exemplar_mutex_ (reset(),
+  // snapshot()); no path takes them in the other order.
   mutable common::Mutex mutex_;
   std::atomic<bool> enabled_{false};
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_

@@ -54,12 +54,18 @@ QualityMonitor::QualityMonitor(OnlinePredictor& predictor,
                                QualityMonitorConfig config)
     : predictor_(predictor), psm_(&psm), config_(config) {
   occupancy_.assign(psm_->stateCount(), 0);
+  for (std::size_t s = 0; s < occupancy_.size(); ++s) {
+    occupancy_gauges_.push_back(&obs::metrics().gauge(
+        "quality.state_occupancy." + std::to_string(s)));
+  }
+  common::MutexLock lock(mutex_);
+  ring_.resize(config_.window_rows);
 }
 
 void QualityMonitor::reset() {
   predictor_.reset();
   common::MutexLock lock(mutex_);
-  ring_.clear();
+  ring_next_ = 0;
   window_ = QualityWindow{};
   occupancy_.assign(psm_->stateCount(), 0);
   residual_primed_ = false;
@@ -111,8 +117,8 @@ double QualityMonitor::predictRowImpl(
     }
   }
 
-  // Slide the window: admit the new row, evict the oldest beyond the cap.
-  ring_.push_back(rec);
+  // Slide the window: admit the new row, evict the oldest beyond the cap
+  // (the new row itself when the window holds no rows at all).
   ++window_.rows;
   window_.predictions += rec.predictions;
   window_.wrong_predictions += rec.wrong;
@@ -122,8 +128,8 @@ double QualityMonitor::predictRowImpl(
       static_cast<std::size_t>(rec.state) < occupancy_.size()) {
     ++occupancy_[static_cast<std::size_t>(rec.state)];
   }
-  if (ring_.size() > config_.window_rows) {
-    const RowRecord& old = ring_.front();
+  if (window_.rows > config_.window_rows) {
+    const RowRecord& old = ring_.empty() ? rec : ring_[ring_next_];
     --window_.rows;
     window_.predictions -= old.predictions;
     window_.wrong_predictions -= old.wrong;
@@ -133,7 +139,10 @@ double QualityMonitor::predictRowImpl(
         static_cast<std::size_t>(old.state) < occupancy_.size()) {
       --occupancy_[static_cast<std::size_t>(old.state)];
     }
-    ring_.pop_front();
+  }
+  if (!ring_.empty()) {
+    ring_[ring_next_] = rec;
+    if (++ring_next_ == ring_.size()) ring_next_ = 0;
   }
 
   evaluateLocked();
@@ -224,10 +233,7 @@ void QualityMonitor::updateOccupancyGaugesLocked() {
   if (window_.rows == 0) return;
   const double denom = static_cast<double>(window_.rows);
   for (std::size_t s = 0; s < occupancy_.size(); ++s) {
-    char name[64];
-    std::snprintf(name, sizeof(name), "quality.state_occupancy.%zu", s);
-    obs::metrics().gauge(name).set(static_cast<double>(occupancy_[s]) /
-                                   denom);
+    occupancy_gauges_[s]->set(static_cast<double>(occupancy_[s]) / denom);
   }
 }
 

@@ -38,7 +38,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -47,6 +46,7 @@
 #include "common/thread_annotations.hpp"
 #include "core/psm.hpp"
 #include "obs/http_server.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/online_predictor.hpp"
 
 namespace psmgen::runtime {
@@ -172,12 +172,19 @@ class QualityMonitor {
   const core::Psm* psm_;
   QualityMonitorConfig config_;
 
-  // Lock table — mutex_ guards the sliding window (ring_/window_/
-  // occupancy_/residual_primed_), written by the feed thread and copied
-  // by window()/stateOccupancy() on the HTTP endpoint thread. status_
-  // stays a relaxed atomic so /readyz never blocks on the feed.
+  /// quality.state_occupancy.<StateId> gauges, resolved once.
+  std::vector<obs::Gauge*> occupancy_gauges_;
+
+  // Lock table — mutex_ guards the sliding window (ring_/ring_next_/
+  // window_/occupancy_/residual_primed_), written by the feed thread and
+  // copied by window()/stateOccupancy() on the HTTP endpoint thread.
+  // status_ stays a relaxed atomic so /readyz never blocks on the feed.
   mutable common::Mutex mutex_;
-  std::deque<RowRecord> ring_ GUARDED_BY(mutex_);
+  /// The last window_rows records, allocated once: ring_[ring_next_] is
+  /// the next slot to write — the oldest record once the window is full
+  /// (window_.rows == ring_.size()).
+  std::vector<RowRecord> ring_ GUARDED_BY(mutex_);
+  std::size_t ring_next_ GUARDED_BY(mutex_) = 0;
   QualityWindow window_ GUARDED_BY(mutex_);
   /// Windowed rows per StateId.
   std::vector<std::size_t> occupancy_ GUARDED_BY(mutex_);

@@ -30,6 +30,20 @@ std::unique_ptr<obs::RateLimiter> makeLimiter(double rows_per_second) {
   return std::make_unique<obs::RateLimiter>(rows_per_second, rows_per_second);
 }
 
+/// Registry handles resolved once: handleFrame runs per frame, and a
+/// lookup by name takes the registry's global mutex.
+struct FrameMetrics {
+  obs::Counter& frames = obs::metrics().counter("serve.frames_total");
+  obs::Counter& rows = obs::metrics().counter("serve.rows_total");
+  obs::Counter& stalls = obs::metrics().counter("serve.backpressure_stalls");
+  obs::Histogram& latency = obs::metrics().histogram("serve.frame_latency_ms");
+};
+
+FrameMetrics& frameMetrics() {
+  static FrameMetrics m;
+  return m;
+}
+
 }  // namespace
 
 Session::Session(const serialize::PsmModel& model, Config config)
@@ -94,7 +108,7 @@ FinSummary Session::summary() const {
 }
 
 bool Session::handleFrame(const Frame& frame, std::string& out) {
-  obs::metrics().counter("serve.frames_total").add(1);
+  frameMetrics().frames.add(1);
   switch (state_) {
     case State::AwaitHello: {
       if (frame.type != FrameType::Hello) {
@@ -176,7 +190,7 @@ bool Session::handleFrame(const Frame& frame, std::string& out) {
           bool stalled = false;
           while (!limiter_->tick().allowed) {
             if (!stalled) {
-              obs::metrics().counter("serve.backpressure_stalls").add(1);
+              frameMetrics().stalls.add(1);
               frame_flags |= obs::kFlightRateStall;
               if (record_) {
                 record_->rate_stalls.fetch_add(1, std::memory_order_relaxed);
@@ -204,7 +218,7 @@ bool Session::handleFrame(const Frame& frame, std::string& out) {
         estimates.push_back(est);
       }
       rows_ += rows.size();
-      obs::metrics().counter("serve.rows_total").add(rows.size());
+      frameMetrics().rows.add(rows.size());
       const double latency_ms = std::chrono::duration<double, std::milli>(
                                     std::chrono::steady_clock::now() - t0)
                                     .count();
@@ -232,9 +246,7 @@ bool Session::handleFrame(const Frame& frame, std::string& out) {
       // The two-arg overload stamps the exemplar with Unix wall-clock
       // time — the flight event's recorder-epoch ts_us would read as
       // 1970 to OpenMetrics consumers.
-      obs::metrics()
-          .histogram("serve.frame_latency_ms")
-          .record(latency_ms, event_id);
+      frameMetrics().latency.record(latency_ms, event_id);
       if (record_) {
         record_->frames.fetch_add(1, std::memory_order_relaxed);
       }

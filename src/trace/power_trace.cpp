@@ -6,33 +6,33 @@
 namespace psmgen::trace {
 
 double PowerTrace::mean(std::size_t start, std::size_t stop) const {
-  if (start > stop || stop >= samples_.size()) {
+  if (start > stop || stop >= watts_.size()) {
     throw std::out_of_range("PowerTrace::mean: bad interval");
   }
   double sum = 0.0;
-  for (std::size_t t = start; t <= stop; ++t) sum += samples_[t];
+  for (std::size_t t = start; t <= stop; ++t) sum += watts_[t];
   return sum / static_cast<double>(stop - start + 1);
 }
 
 double PowerTrace::totalEnergy() const {
   if (params_.clock_hz <= 0.0) return 0.0;
   double sum = 0.0;
-  for (const double s : samples_) sum += s;
+  for (const double s : watts_) sum += s;
   return sum / params_.clock_hz;
 }
 
 PowerTrace PowerTrace::subtrace(std::size_t start, std::size_t len) const {
-  if (start + len > samples_.size()) {
+  if (start + len > watts_.size()) {
     throw std::out_of_range("PowerTrace::subtrace: range out of bounds");
   }
   PowerTrace out(params_);
-  out.samples_.assign(samples_.begin() + static_cast<std::ptrdiff_t>(start),
-                      samples_.begin() + static_cast<std::ptrdiff_t>(start + len));
+  out.watts_.assign(watts_.begin() + static_cast<std::ptrdiff_t>(start),
+                    watts_.begin() + static_cast<std::ptrdiff_t>(start + len));
   return out;
 }
 
 void PowerTrace::extend(const PowerTrace& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
+  watts_.insert(watts_.end(), other.watts_.begin(), other.watts_.end());
 }
 
 double meanRelativeError(const std::vector<double>& estimate,

@@ -24,13 +24,13 @@ class PowerTrace {
 
   const PowerParams& params() const { return params_; }
 
-  void append(double watts) { samples_.push_back(watts); }
-  void reserve(std::size_t n) { samples_.reserve(n); }
+  void append(double watts) { watts_.push_back(watts); }
+  void reserve(std::size_t n) { watts_.reserve(n); }
 
-  std::size_t length() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-  double at(std::size_t t) const { return samples_.at(t); }
-  const std::vector<double>& samples() const { return samples_; }
+  std::size_t length() const { return watts_.size(); }
+  bool empty() const { return watts_.empty(); }
+  double at(std::size_t t) const { return watts_.at(t); }
+  const std::vector<double>& samples() const { return watts_; }
 
   /// Mean power over [start, stop] inclusive.
   double mean(std::size_t start, std::size_t stop) const;
@@ -44,7 +44,7 @@ class PowerTrace {
 
  private:
   PowerParams params_;
-  std::vector<double> samples_;
+  std::vector<double> watts_;
 };
 
 /// Mean relative error between an estimate and a reference (paper's MRE

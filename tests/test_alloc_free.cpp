@@ -1,6 +1,7 @@
 // Allocation guard for the streaming predict path: once the reader's
 // first chunk has been buffered, parsing a row in place, evaluating its
-// proposition and stepping the PSM must not touch the heap. This
+// proposition, stepping the PSM and folding the row into the quality
+// monitor's window must not touch the heap. This
 // executable replaces the global allocation functions with counting
 // wrappers around malloc/free, so any allocation that creeps back into
 // the per-row path fails these tests.
@@ -9,13 +10,16 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <sstream>
 
 #include "core/flow.hpp"
 #include "ip/ip_factory.hpp"
+#include "obs/metrics.hpp"
 #include "power/gate_estimator.hpp"
 #include "runtime/online_predictor.hpp"
+#include "runtime/quality_monitor.hpp"
 #include "runtime/streaming_reader.hpp"
 #include "trace/trace_io.hpp"
 
@@ -162,7 +166,9 @@ trace::FunctionalTrace modeTrace(
   return t;
 }
 
-TEST(AllocFree, PredictRowWhileDwellingInAnUntilState) {
+/// A two-mode PSM whose busy state is an until state the predictor can
+/// dwell in indefinitely.
+std::unique_ptr<core::CharacterizationFlow> modeFlow() {
   const auto train = modeTrace({{0, 10}, {1, 6}, {0, 10}, {1, 6}, {0, 4}});
   trace::PowerTrace power;
   for (std::size_t i = 0; i < train.length(); ++i) {
@@ -171,11 +177,15 @@ TEST(AllocFree, PredictRowWhileDwellingInAnUntilState) {
   core::FlowConfig cfg;
   cfg.miner.max_toggle_rate = 1.0;
   cfg.miner.max_singleton_run_fraction = 1.0;
-  core::CharacterizationFlow flow(cfg);
-  flow.addTrainingTrace(train, power);
-  flow.build();
+  auto flow = std::make_unique<core::CharacterizationFlow>(cfg);
+  flow->addTrainingTrace(train, power);
+  flow->build();
+  return flow;
+}
 
-  runtime::OnlinePredictor predictor(flow.psm(), flow.domain());
+TEST(AllocFree, PredictRowWhileDwellingInAnUntilState) {
+  const auto flow = modeFlow();
+  runtime::OnlinePredictor predictor(flow->psm(), flow->domain());
   const std::vector<BitVector> idle = {BitVector(2, 0)};
   const std::vector<BitVector> busy = {BitVector(2, 1)};
   // Enter the busy state and take its first dwell step unguarded.
@@ -196,6 +206,36 @@ TEST(AllocFree, PredictRowWhileDwellingInAnUntilState) {
   EXPECT_FALSE(predictor.isLost());
   EXPECT_DOUBLE_EQ(sum, 2000.0);
   EXPECT_EQ(allocations, 0u);
+}
+
+/// The quality monitor's sliding window and occupancy gauges add no
+/// allocation to a dwelling row, with the metrics registry recording.
+TEST(AllocFree, QualityMonitorPredictRowWhileDwelling) {
+  obs::metrics().setEnabled(true);
+  const auto flow = modeFlow();
+  runtime::OnlinePredictor predictor(flow->psm(), flow->domain());
+  runtime::QualityMonitor monitor(predictor, flow->psm());
+  const std::vector<BitVector> idle = {BitVector(2, 0)};
+  const std::vector<BitVector> busy = {BitVector(2, 1)};
+  monitor.predictRow(idle);
+  monitor.predictRow(busy);
+  monitor.predictRow(busy);
+  ASSERT_FALSE(predictor.isLost());
+  const core::StateId dwelling = predictor.currentState();
+
+  double sum = 0.0;
+  std::size_t allocations = 0;
+  {
+    AllocationCounter counter;
+    for (int i = 0; i < 10000; ++i) sum += monitor.predictRow(busy);
+    allocations = counter.count();
+  }
+  EXPECT_EQ(predictor.currentState(), dwelling);
+  EXPECT_EQ(monitor.status(), runtime::DriftStatus::Ok);
+  EXPECT_EQ(monitor.window().rows, monitor.config().window_rows);
+  EXPECT_DOUBLE_EQ(sum, 20000.0);
+  EXPECT_EQ(allocations, 0u);
+  obs::metrics().setEnabled(false);
 }
 
 }  // namespace

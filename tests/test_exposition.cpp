@@ -1,16 +1,20 @@
 // Tests of the Prometheus text-format exposition (obs/exposition.hpp):
 // metric/label name sanitization and escaping, counter/gauge/histogram
 // rendering with `_total` / `_bucket` / `_sum` / `_count` semantics,
-// bucket cumulativity, an exact golden scrape of a deterministic
-// registry, and a parser-validated scrape of an instrumented end-to-end
+// bucket cumulativity, per-bucket exemplars, scrapes racing recorders,
+// an exact golden scrape of a deterministic registry, and a
+// parser-validated scrape of an instrumented end-to-end
 // characterize-and-predict run.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -294,25 +298,28 @@ TEST(Exposition, HistogramBucketsAreCumulative) {
   registry.setEnabled(true);
   obs::Histogram& h = registry.histogram("predict.resync_latency_rows");
   for (const double v : {0.4, 1.0, 3.0, 7.0, 10.0, 20000.0}) h.record(v);
-  obs::PrometheusOptions options;
-  options.buckets = {1.0, 10.0, 100.0};
-  const std::string text = obs::renderPrometheus(registry, options);
+  const std::string text = obs::renderPrometheus(registry);
   PromDoc doc;
   ASSERT_TRUE(parsePrometheus(text, &doc)) << text;
 
-  // le="1": {0.4, 1}; le="10": + {3, 7, 10}; le="100": nothing more;
-  // +Inf: all six.
-  std::vector<std::pair<std::string, double>> expected = {
-      {"le=\"1\"", 2.0}, {"le=\"10\"", 5.0}, {"le=\"100\"", 5.0},
-      {"le=\"+Inf\"", 6.0}};
+  // Every bound of the fixed ladder, in order, with the cumulative count
+  // of samples <= it; +Inf holds all six.
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"1e-06", 0}, {"2.5e-06", 0}, {"5e-06", 0}, {"1e-05", 0},
+      {"2.5e-05", 0}, {"5e-05", 0}, {"0.0001", 0}, {"0.00025", 0},
+      {"0.0005", 0}, {"0.001", 0}, {"0.0025", 0}, {"0.005", 0}, {"0.01", 0},
+      {"0.025", 0}, {"0.05", 0}, {"0.1", 0}, {"0.25", 0}, {"0.5", 1},
+      {"1", 2}, {"2.5", 2}, {"5", 3}, {"10", 5}, {"25", 5}, {"50", 5},
+      {"100", 5}, {"250", 5}, {"500", 5}, {"1000", 5}, {"2500", 5},
+      {"5000", 5}, {"10000", 5}, {"+Inf", 6}};
   std::size_t bucket_index = 0;
   for (const PromSample& s : doc.samples) {
     if (s.name != "psmgen_predict_resync_latency_rows_bucket") continue;
     ASSERT_LT(bucket_index, expected.size());
-    EXPECT_NE(s.labels.find(expected[bucket_index].first), std::string::npos)
-        << s.labels;
+    EXPECT_EQ(s.labels, "{le=\"" + expected[bucket_index].first + "\"}");
     EXPECT_EQ(std::strtod(s.value.c_str(), nullptr),
-              expected[bucket_index].second);
+              expected[bucket_index].second)
+        << s.labels;
     ++bucket_index;
   }
   EXPECT_EQ(bucket_index, expected.size());
@@ -333,7 +340,6 @@ TEST(Exposition, GoldenScrape) {
   registry.histogram("lat.rows").record(0.5);
   registry.histogram("lat.rows").record(8.0);
   obs::PrometheusOptions options;
-  options.buckets = {1.0, 10.0};
   options.const_labels = {{"model", "m.psm"}};
   const std::string expected =
       "# HELP psmgen_predict_rows_total psmgen registry instrument "
@@ -346,8 +352,37 @@ TEST(Exposition, GoldenScrape) {
       "psmgen_quality_status{model=\"m.psm\"} 2\n"
       "# HELP psmgen_lat_rows psmgen registry instrument lat.rows\n"
       "# TYPE psmgen_lat_rows histogram\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"1e-06\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"2.5e-06\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"5e-06\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"1e-05\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"2.5e-05\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"5e-05\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"0.0001\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"0.00025\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"0.0005\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"0.001\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"0.0025\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"0.005\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"0.01\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"0.025\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"0.05\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"0.1\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"0.25\"} 0\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"0.5\"} 1\n"
       "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"1\"} 1\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"2.5\"} 1\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"5\"} 1\n"
       "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"10\"} 2\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"25\"} 2\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"50\"} 2\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"100\"} 2\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"250\"} 2\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"500\"} 2\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"1000\"} 2\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"2500\"} 2\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"5000\"} 2\n"
+      "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"10000\"} 2\n"
       "psmgen_lat_rows_bucket{model=\"m.psm\",le=\"+Inf\"} 2\n"
       "psmgen_lat_rows_sum{model=\"m.psm\"} 8.5\n"
       "psmgen_lat_rows_count{model=\"m.psm\"} 2\n";
@@ -356,8 +391,8 @@ TEST(Exposition, GoldenScrape) {
 
 /// Exemplars: in the OpenMetrics exposition, a histogram record
 /// carrying a flight-recorder event id attaches an
-/// ` # {event_id="N"} value ts` suffix to the newest sample's bucket,
-/// and the toggle strips every exemplar.
+/// ` # {event_id="N"} value ts` suffix to its own bucket's line; the
+/// classic exposition of the same registry carries none.
 TEST(Exposition, ExemplarsAttachToTheMatchingBucket) {
   obs::Registry registry;
   registry.setEnabled(true);
@@ -365,42 +400,42 @@ TEST(Exposition, ExemplarsAttachToTheMatchingBucket) {
   h.record(0.5, /*event_id=*/7, /*ts_us=*/1'500'000);
   h.record(8.0, /*event_id=*/9, /*ts_us=*/2'000'000);
   h.record(100.0, /*event_id=*/11, /*ts_us=*/2'250'000);
+  h.record(20000.0, /*event_id=*/13, /*ts_us=*/2'500'000);
   h.record(0.25);  // no event id: contributes to counts, not exemplars
   obs::PrometheusOptions options;
   options.openmetrics = true;
-  options.buckets = {1.0, 10.0};
   const std::string text = obs::renderPrometheus(registry, options);
-  EXPECT_NE(
-      text.find("psmgen_lat_rows_bucket{le=\"1\"} 2 # {event_id=\"7\"} "
-                "0.5 1.500\n"),
-      std::string::npos)
-      << text;
-  EXPECT_NE(
-      text.find("psmgen_lat_rows_bucket{le=\"10\"} 3 # {event_id=\"9\"} "
-                "8 2.000\n"),
-      std::string::npos)
-      << text;
-  EXPECT_NE(
-      text.find("psmgen_lat_rows_bucket{le=\"+Inf\"} 4 # {event_id=\"11\"} "
-                "100 2.250\n"),
-      std::string::npos)
-      << text;
+  for (const char* line :
+       {"psmgen_lat_rows_bucket{le=\"0.25\"} 1\n",
+        "psmgen_lat_rows_bucket{le=\"0.5\"} 2 # {event_id=\"7\"} 0.5 1.500\n",
+        "psmgen_lat_rows_bucket{le=\"10\"} 3 # {event_id=\"9\"} 8 2.000\n",
+        "psmgen_lat_rows_bucket{le=\"100\"} 4 # {event_id=\"11\"} 100 "
+        "2.250\n",
+        "psmgen_lat_rows_bucket{le=\"+Inf\"} 5 # {event_id=\"13\"} 20000 "
+        "2.500\n"}) {
+    EXPECT_NE(text.find(line), std::string::npos) << line << text;
+  }
+  std::size_t exemplar_lines = 0;
+  for (std::size_t at = text.find(" # {"); at != std::string::npos;
+       at = text.find(" # {", at + 1)) {
+    ++exemplar_lines;
+  }
+  EXPECT_EQ(exemplar_lines, 4u) << text;
 
-  options.exemplars = false;
+  options.openmetrics = false;
   const std::string plain = obs::renderPrometheus(registry, options);
   EXPECT_EQ(plain.find(" # {"), std::string::npos) << plain;
 }
 
 /// The classic 0.0.4 exposition must never contain exemplar syntax —
 /// standard Prometheus scrapers reject the whole document on the first
-/// exemplar suffix — regardless of the exemplars toggle.
+/// exemplar suffix.
 TEST(Exposition, ClassicExpositionNeverRendersExemplars) {
   obs::Registry registry;
   registry.setEnabled(true);
   registry.histogram("lat.rows").record(0.5, /*event_id=*/7,
                                         /*ts_us=*/1'500'000);
   obs::PrometheusOptions options;  // openmetrics defaults to false
-  options.exemplars = true;
   const std::string text = obs::renderPrometheus(registry, options);
   EXPECT_EQ(text.find(" # {"), std::string::npos) << text;
   EXPECT_EQ(text.find("# EOF"), std::string::npos) << text;
@@ -477,19 +512,95 @@ TEST(Exposition, AcceptsOpenMetricsHonorsQValues) {
       "application/openmetrics-text;q=banana"));
 }
 
-/// The exemplar ring is bounded: only the newest kMaxExemplars survive.
+/// Exemplar storage is one slot per bucket: any number of exemplars
+/// into one bucket keeps only the newest, and no other slot fills.
 TEST(Exposition, ExemplarStorageIsBounded) {
   obs::Registry registry;
   registry.setEnabled(true);
   obs::Histogram& h = registry.histogram("lat.rows");
-  const std::size_t cap = obs::Histogram::kMaxExemplars;
-  for (std::size_t i = 0; i < cap + 10; ++i) {
-    h.record(1.0, /*event_id=*/i + 1, /*ts_us=*/i);
+  constexpr std::uint64_t kExemplars = 1000;
+  for (std::uint64_t i = 1; i <= kExemplars; ++i) {
+    h.record(1.0, /*event_id=*/i, /*ts_us=*/i);
   }
-  const std::vector<obs::Exemplar> exemplars = h.exemplars();
-  ASSERT_EQ(exemplars.size(), cap);
-  EXPECT_EQ(exemplars.front().event_id, 11u);  // oldest surviving
-  EXPECT_EQ(exemplars.back().event_id, cap + 10);
+  const auto exemplars = h.exemplars();
+  const auto le1 = static_cast<std::size_t>(
+      std::find(obs::kHistogramBounds.begin(), obs::kHistogramBounds.end(),
+                1.0) -
+      obs::kHistogramBounds.begin());
+  EXPECT_EQ(exemplars[le1].event_id, kExemplars);
+  std::size_t filled = 0;
+  for (const obs::Exemplar& e : exemplars) filled += e.event_id != 0 ? 1 : 0;
+  EXPECT_EQ(filled, 1u);
+}
+
+/// A bucket's newest exemplar survives any number of exemplars landing
+/// in other buckets.
+TEST(Exposition, NewestExemplarPerBucketSurvivesOtherBuckets) {
+  obs::Registry registry;
+  registry.setEnabled(true);
+  obs::Histogram& h = registry.histogram("lat.rows");
+  h.record(0.5, /*event_id=*/1, /*ts_us=*/1'000'000);
+  std::uint64_t id = 1;
+  for (int i = 0; i < 10000; ++i) {
+    h.record(8.0, ++id, /*ts_us=*/2'000'000);
+    h.record(20000.0, ++id, /*ts_us=*/3'000'000);
+  }
+  obs::PrometheusOptions options;
+  options.openmetrics = true;
+  const std::string text = obs::renderPrometheus(registry, options);
+  EXPECT_NE(text.find("psmgen_lat_rows_bucket{le=\"0.5\"} 1 "
+                      "# {event_id=\"1\"} 0.5 1.000\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("psmgen_lat_rows_bucket{le=\"10\"} 10001 "
+                      "# {event_id=\"" + std::to_string(id - 1) +
+                      "\"} 8 2.000\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("psmgen_lat_rows_bucket{le=\"+Inf\"} 20001 "
+                      "# {event_id=\"" + std::to_string(id) +
+                      "\"} 20000 3.000\n"),
+            std::string::npos)
+      << text;
+}
+
+/// Scrapes racing two recording threads each see one consistent copy of
+/// the counts: monotone in `le`, `le="+Inf"` equal to `_count`, and
+/// `_count` never going backwards between scrapes.
+TEST(Exposition, ScrapesWhileRecordingStayConsistent) {
+  obs::Registry registry;
+  registry.setEnabled(true);
+  obs::Histogram& h = registry.histogram("lat.ms");
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> recorded{0};
+  std::vector<std::thread> recorders;
+  for (std::uint64_t t = 0; t < 2; ++t) {
+    recorders.emplace_back([&, t] {
+      std::uint64_t n = 0;
+      // Spread samples over many buckets; every 16th carries an exemplar.
+      for (; !stop.load(std::memory_order_relaxed) || n < 1000; ++n) {
+        const double v = 1e-5 * static_cast<double>(1 + (n * 7919) % 100000);
+        h.record(v, /*event_id=*/n % 16 == 0 ? 2 * n + t + 1 : 0,
+                 /*ts_us=*/1);
+      }
+      recorded.fetch_add(n);
+    });
+  }
+  double last_count = 0.0;
+  for (int scrape = 0; scrape < 200; ++scrape) {
+    const std::string text = obs::renderPrometheus(registry);
+    PromDoc doc;
+    ASSERT_TRUE(parsePrometheus(text, &doc)) << text;
+    const double count = sampleValue(doc, "psmgen_lat_ms_count");
+    EXPECT_GE(count, last_count);
+    last_count = count;
+  }
+  stop.store(true);
+  for (auto& t : recorders) t.join();
+  PromDoc doc;
+  ASSERT_TRUE(parsePrometheus(obs::renderPrometheus(registry), &doc));
+  EXPECT_EQ(sampleValue(doc, "psmgen_lat_ms_count"),
+            static_cast<double>(recorded.load()));
 }
 
 // ------------------------------------------- end-to-end scrape validation

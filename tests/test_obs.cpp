@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -118,6 +122,14 @@ TEST(Metrics, ResetZeroesButKeepsRegistrations) {
   reg.setEnabled(false);
 }
 
+/// Index of the ladder bucket holding `v` (Prometheus `le` semantics).
+std::size_t bucketOf(double v) {
+  return static_cast<std::size_t>(
+      std::lower_bound(obs::kHistogramBounds.begin(),
+                       obs::kHistogramBounds.end(), v) -
+      obs::kHistogramBounds.begin());
+}
+
 TEST(Metrics, HistogramQuantileEdgeCases) {
   obs::Registry& reg = obs::metrics();
   reg.setEnabled(true);
@@ -125,6 +137,8 @@ TEST(Metrics, HistogramQuantileEdgeCases) {
   EXPECT_EQ(empty.quantile(0.5), 0.0);
   EXPECT_EQ(empty.snapshot().p95, 0.0);
 
+  // A bucket's upper bound is clamped to [min, max], so a lone sample
+  // reads back exactly.
   obs::Histogram& one = reg.histogram("test.hist_one");
   one.record(7.5);
   EXPECT_EQ(one.quantile(0.0), 7.5);
@@ -134,8 +148,9 @@ TEST(Metrics, HistogramQuantileEdgeCases) {
   obs::Histogram& two = reg.histogram("test.hist_two");
   two.record(10.0);
   two.record(20.0);
-  // Nearest-rank: ceil(0.5 * 2) = 1 -> first sorted sample.
+  // Nearest-rank: ceil(0.5 * 2) = 1 -> the first sample's bucket (5, 10].
   EXPECT_EQ(two.quantile(0.5), 10.0);
+  // Rank 2 lands in (10, 25], whose bound 25 clamps to max = 20.
   EXPECT_EQ(two.quantile(0.51), 20.0);
   EXPECT_EQ(two.quantile(1.0), 20.0);
 
@@ -145,27 +160,105 @@ TEST(Metrics, HistogramQuantileEdgeCases) {
   EXPECT_EQ(s.count, 100u);
   EXPECT_EQ(s.min, 1.0);
   EXPECT_EQ(s.max, 100.0);
-  EXPECT_EQ(s.p50, 50.0);   // ceil(0.5 * 100) = 50th sorted value
-  EXPECT_EQ(s.p95, 95.0);
+  EXPECT_EQ(s.p50, 50.0);   // the 50th value, 50, tops bucket (25, 50]
+  EXPECT_EQ(s.p95, 100.0);  // the 95th value, 95, sits in (50, 100]
   EXPECT_DOUBLE_EQ(s.mean, 50.5);
+
+  // A sample on a bound belongs to that bound's bucket; samples past the
+  // last bound land in +Inf and read back as max.
+  obs::Histogram& edges = reg.histogram("test.hist_edges");
+  edges.record(0.5);
+  edges.record(0.5000001);
+  edges.record(20000.0);
+  const obs::HistogramSnapshot e = edges.snapshot();
+  EXPECT_EQ(e.buckets[bucketOf(0.5)], 1u);
+  EXPECT_EQ(e.buckets[bucketOf(0.5) + 1], 1u);
+  EXPECT_EQ(e.buckets.back(), 1u);
+  EXPECT_EQ(edges.quantile(1.0), 20000.0);
   reg.setEnabled(false);
 }
 
+/// A slowdown after many fast samples shows up in the quantiles and in
+/// the finite buckets, not only in +Inf.
 TEST(Metrics, HistogramCapKeepsTotalsExact) {
   obs::Registry& reg = obs::metrics();
   reg.setEnabled(true);
   obs::Histogram& h = reg.histogram("test.hist_cap");
-  const std::size_t n = obs::Histogram::kMaxSamples + 1000;
-  for (std::size_t i = 0; i < n; ++i) h.record(1.0);
-  h.record(123.0);
+  constexpr std::size_t kEach = 100000;
+  for (std::size_t i = 0; i < kEach; ++i) h.record(0.02);
+  for (std::size_t i = 0; i < kEach; ++i) h.record(3.0);
   const obs::HistogramSnapshot s = h.snapshot();
-  // count/sum/min/max stay exact past the sample-buffer cap; quantiles
-  // come from the first kMaxSamples values (deterministically all 1.0).
-  EXPECT_EQ(s.count, n + 1);
-  EXPECT_DOUBLE_EQ(s.sum, static_cast<double>(n) + 123.0);
-  EXPECT_EQ(s.max, 123.0);
-  EXPECT_EQ(s.p95, 1.0);
+  EXPECT_EQ(s.count, 2 * kEach);
+  EXPECT_NEAR(s.sum, kEach * 0.02 + kEach * 3.0, 1e-6);
+  EXPECT_EQ(s.min, 0.02);
+  EXPECT_EQ(s.max, 3.0);
+  EXPECT_EQ(s.p50, 0.025);  // upper bound of the 0.02 bucket
+  EXPECT_EQ(s.p95, 3.0);    // bucket (2.5, 5] clamped to max
+  // Cumulative count at le="5" covers every sample.
+  ASSERT_EQ(obs::kHistogramBounds[bucketOf(5.0)], 5.0);
+  std::uint64_t le5 = 0;
+  for (std::size_t b = 0; b <= bucketOf(5.0); ++b) le5 += s.buckets[b];
+  EXPECT_EQ(le5, 2 * kEach);
   reg.setEnabled(false);
+}
+
+/// Four threads record 2.5M integer-valued samples each; the second half
+/// of every thread's samples lands in higher buckets. Bucket counts, the
+/// count and the sum stay exact, and the quantiles stay within one
+/// bucket of the offline nearest-rank value.
+TEST(Metrics, HistogramSoakStaysExactUnderConcurrency) {
+  obs::Registry reg;
+  reg.setEnabled(true);
+  obs::Histogram& h = reg.histogram("test.soak");
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 2'500'000;
+  constexpr std::size_t kMaxValue = 500;
+  const auto sample = [](std::size_t i) {
+    return i < kPerThread / 2 ? 1.0 + static_cast<double>(i % 4)
+                              : 100.0 + static_cast<double>(i % 400);
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, &sample] {
+      for (std::size_t i = 0; i < kPerThread; ++i) h.record(sample(i));
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  // Offline reference: every sample tallied by its integer value.
+  std::vector<std::uint64_t> by_value(kMaxValue, 0);
+  for (std::size_t i = 0; i < kPerThread; ++i) {
+    by_value[static_cast<std::size_t>(sample(i))] += kThreads;
+  }
+  std::array<std::uint64_t, obs::kHistogramBuckets> expected{};
+  double expected_sum = 0.0;
+  for (std::size_t v = 0; v < kMaxValue; ++v) {
+    expected[bucketOf(static_cast<double>(v))] += by_value[v];
+    expected_sum += static_cast<double>(v * by_value[v]);
+  }
+  const auto offline_quantile = [&](double q) {
+    const auto rank = static_cast<std::uint64_t>(
+        std::ceil(q * static_cast<double>(kThreads * kPerThread)));
+    std::uint64_t below = 0;
+    std::size_t v = 0;
+    while (below + by_value[v] < rank) below += by_value[v++];
+    return static_cast<double>(v);
+  };
+
+  const obs::HistogramSnapshot s = h.snapshot();
+  EXPECT_EQ(s.buckets, expected);
+  EXPECT_GT(s.buckets[bucketOf(250.0)], 65536u);
+  EXPECT_GT(s.buckets[bucketOf(500.0)], 65536u);
+  std::uint64_t cumulative = 0;
+  for (const std::uint64_t n : s.buckets) cumulative += n;
+  EXPECT_EQ(cumulative, kThreads * kPerThread);  // the +Inf bucket
+  EXPECT_EQ(s.count, kThreads * kPerThread);
+  EXPECT_EQ(s.sum, expected_sum);
+  for (const auto& [q, got] : {std::pair{0.50, s.p50}, {0.95, s.p95}}) {
+    const auto want = static_cast<long>(bucketOf(offline_quantile(q)));
+    EXPECT_LE(std::labs(static_cast<long>(bucketOf(got)) - want), 1L)
+        << "q=" << q << " got " << got;
+  }
 }
 
 TEST(Metrics, JsonDumpGoldenShape) {
