@@ -90,10 +90,10 @@ void BM_PsmSimulatorStep(benchmark::State& state) {
 }
 BENCHMARK(BM_PsmSimulatorStep);
 
-void BM_GateLevelCycle(benchmark::State& state) {
-  auto device = ip::makeDevice(ip::IpKind::Ram);
-  power::GateLevelEstimator est(*device, ip::powerConfig(ip::IpKind::Ram));
-  auto tb = ip::makeTestbench(ip::IpKind::Ram, ip::TestsetMode::Long, 5);
+void BM_GateLevelCycle(benchmark::State& state, ip::IpKind kind) {
+  auto device = ip::makeDevice(kind);
+  power::GateLevelEstimator est(*device, ip::powerConfig(kind));
+  auto tb = ip::makeTestbench(kind, ip::TestsetMode::Long, 5);
   for (auto _ : state) {
     state.PauseTiming();
     tb->restart();
@@ -102,7 +102,10 @@ void BM_GateLevelCycle(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
 }
-BENCHMARK(BM_GateLevelCycle);
+BENCHMARK_CAPTURE(BM_GateLevelCycle, RAM, ip::IpKind::Ram);
+BENCHMARK_CAPTURE(BM_GateLevelCycle, MultSum, ip::IpKind::MultSum);
+BENCHMARK_CAPTURE(BM_GateLevelCycle, AES, ip::IpKind::Aes);
+BENCHMARK_CAPTURE(BM_GateLevelCycle, Camellia, ip::IpKind::Camellia);
 
 void BM_WelchTTest(benchmark::State& state) {
   const stats::Summary a{1.00, 0.05, 4096};

@@ -6,25 +6,21 @@
 
 namespace psmgen::common {
 
-namespace {
-constexpr unsigned kLimbBits = 64;
-
-std::size_t limbsFor(unsigned width) {
-  return (static_cast<std::size_t>(width) + kLimbBits - 1) / kLimbBits;
-}
-}  // namespace
-
-BitVector::BitVector(unsigned width, std::uint64_t value)
-    : width_(width), limbs_(limbsFor(width), 0) {
-  if (!limbs_.empty()) limbs_[0] = value;
-  trim();
+void BitVector::grow(std::size_t n) {
+  auto* grown = new std::uint64_t[n]();
+  if (onHeap()) delete[] limbs_;
+  limbs_ = grown;
+  capacity_ = static_cast<unsigned>(n);
 }
 
-void BitVector::trim() {
-  const unsigned rem = width_ % kLimbBits;
-  if (rem != 0 && !limbs_.empty()) {
-    limbs_.back() &= (~std::uint64_t{0}) >> (kLimbBits - rem);
-  }
+std::uint64_t BitVector::word(unsigned pos) const {
+  const std::size_t i = pos / kLimbBits;
+  const unsigned off = pos % kLimbBits;
+  const std::size_t n = limbCount();
+  if (i >= n) return 0;
+  std::uint64_t w = limbs_[i] >> off;
+  if (off != 0 && i + 1 < n) w |= limbs_[i + 1] << (kLimbBits - off);
+  return w;
 }
 
 BitVector BitVector::fromBinary(const std::string& bits) {
@@ -48,8 +44,8 @@ BitVector BitVector::fromHex(std::string_view hex, unsigned width) {
 
 void BitVector::assignHex(std::string_view hex, unsigned width) {
   const unsigned natural = static_cast<unsigned>(hex.size()) * 4;
-  width_ = width == 0 ? natural : width;
-  limbs_.assign(limbsFor(width_), 0);
+  setWidth(width == 0 ? natural : width);
+  zero();
   // pos is a multiple of 4, so a nibble never straddles two limbs.
   std::size_t pos = 0;  // bit position of the next nibble's LSB
   for (std::size_t i = hex.size(); i-- > 0; pos += 4) {
@@ -74,8 +70,8 @@ void BitVector::assignHex(std::string_view hex, unsigned width) {
 }
 
 void BitVector::assignBytes(const std::uint8_t* bytes, unsigned width) {
-  width_ = width;
-  limbs_.assign(limbsFor(width_), 0);
+  setWidth(width);
+  zero();
   const unsigned nbytes = (width + 7) / 8;
   for (unsigned i = 0; i < nbytes; ++i) {
     limbs_[i / 8] |= static_cast<std::uint64_t>(bytes[i]) << (8 * (i % 8));
@@ -85,7 +81,7 @@ void BitVector::assignBytes(const std::uint8_t* bytes, unsigned width) {
 
 BitVector BitVector::ones(unsigned width) {
   BitVector v(width);
-  std::fill(v.limbs_.begin(), v.limbs_.end(), ~std::uint64_t{0});
+  std::fill_n(v.limbs_, v.limbCount(), ~std::uint64_t{0});
   v.trim();
   return v;
 }
@@ -107,18 +103,37 @@ void BitVector::setBit(unsigned i, bool v) {
   }
 }
 
+void BitVector::setField(unsigned lo, unsigned len, std::uint64_t value) {
+  if (len > kLimbBits || static_cast<std::uint64_t>(lo) + len > width_) {
+    throw std::out_of_range("BitVector::setField: field out of bounds");
+  }
+  if (len == 0) return;
+  const std::uint64_t mask = ~std::uint64_t{0} >> (kLimbBits - len);
+  value &= mask;
+  const std::size_t i = lo / kLimbBits;
+  const unsigned off = lo % kLimbBits;
+  limbs_[i] = (limbs_[i] & ~(mask << off)) | (value << off);
+  if (off + len > kLimbBits) {
+    // The field straddles into the next limb: its top len-(64-off) bits.
+    const unsigned spill = kLimbBits - off;
+    limbs_[i + 1] = (limbs_[i + 1] & ~(mask >> spill)) | (value >> spill);
+  }
+}
+
 std::uint64_t BitVector::toUint64() const {
-  return limbs_.empty() ? 0 : limbs_[0];
+  return width_ == 0 ? 0 : limbs_[0];
 }
 
 bool BitVector::any() const {
-  return std::any_of(limbs_.begin(), limbs_.end(),
+  return std::any_of(limbs_, limbs_ + limbCount(),
                      [](std::uint64_t l) { return l != 0; });
 }
 
 unsigned BitVector::popcount() const {
   unsigned n = 0;
-  for (const std::uint64_t l : limbs_) n += static_cast<unsigned>(std::popcount(l));
+  for (std::size_t i = 0; i < limbCount(); ++i) {
+    n += static_cast<unsigned>(std::popcount(limbs_[i]));
+  }
   return n;
 }
 
@@ -127,7 +142,7 @@ unsigned BitVector::hammingDistance(const BitVector& a, const BitVector& b) {
     throw std::invalid_argument("BitVector::hammingDistance: width mismatch");
   }
   unsigned n = 0;
-  for (std::size_t i = 0; i < a.limbs_.size(); ++i) {
+  for (std::size_t i = 0; i < a.limbCount(); ++i) {
     n += static_cast<unsigned>(std::popcount(a.limbs_[i] ^ b.limbs_[i]));
   }
   return n;
@@ -138,10 +153,10 @@ BitVector BitVector::slice(unsigned lo, unsigned len) const {
     throw std::out_of_range("BitVector::slice: range out of bounds");
   }
   BitVector out(len);
-  for (unsigned i = 0; i < len; ++i) {
-    const unsigned src = lo + i;
-    if ((limbs_[src / kLimbBits] >> (src % kLimbBits)) & 1u) out.setBit(i, true);
+  for (std::size_t i = 0; i < out.limbCount(); ++i) {
+    out.limbs_[i] = word(lo + static_cast<unsigned>(i * kLimbBits));
   }
+  out.trim();
   return out;
 }
 
@@ -158,8 +173,7 @@ BitVector BitVector::concat(const BitVector& hi, const BitVector& lo) {
 
 BitVector BitVector::resized(unsigned new_width) const {
   BitVector out(new_width);
-  const std::size_t n = std::min(out.limbs_.size(), limbs_.size());
-  std::copy_n(limbs_.begin(), n, out.limbs_.begin());
+  std::copy_n(limbs_, std::min(out.limbCount(), limbCount()), out.limbs_);
   out.trim();
   return out;
 }
@@ -167,27 +181,27 @@ BitVector BitVector::resized(unsigned new_width) const {
 BitVector BitVector::operator&(const BitVector& rhs) const {
   if (width_ != rhs.width_) throw std::invalid_argument("BitVector::&: width mismatch");
   BitVector out(width_);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) out.limbs_[i] = limbs_[i] & rhs.limbs_[i];
+  for (std::size_t i = 0; i < limbCount(); ++i) out.limbs_[i] = limbs_[i] & rhs.limbs_[i];
   return out;
 }
 
 BitVector BitVector::operator|(const BitVector& rhs) const {
   if (width_ != rhs.width_) throw std::invalid_argument("BitVector::|: width mismatch");
   BitVector out(width_);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) out.limbs_[i] = limbs_[i] | rhs.limbs_[i];
+  for (std::size_t i = 0; i < limbCount(); ++i) out.limbs_[i] = limbs_[i] | rhs.limbs_[i];
   return out;
 }
 
 BitVector BitVector::operator^(const BitVector& rhs) const {
   if (width_ != rhs.width_) throw std::invalid_argument("BitVector::^: width mismatch");
   BitVector out(width_);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) out.limbs_[i] = limbs_[i] ^ rhs.limbs_[i];
+  for (std::size_t i = 0; i < limbCount(); ++i) out.limbs_[i] = limbs_[i] ^ rhs.limbs_[i];
   return out;
 }
 
 BitVector BitVector::operator~() const {
   BitVector out(width_);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) out.limbs_[i] = ~limbs_[i];
+  for (std::size_t i = 0; i < limbCount(); ++i) out.limbs_[i] = ~limbs_[i];
   out.trim();
   return out;
 }
@@ -196,7 +210,7 @@ BitVector BitVector::operator+(const BitVector& rhs) const {
   if (width_ != rhs.width_) throw std::invalid_argument("BitVector::+: width mismatch");
   BitVector out(width_);
   std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
+  for (std::size_t i = 0; i < limbCount(); ++i) {
     const std::uint64_t a = limbs_[i];
     const std::uint64_t b = rhs.limbs_[i];
     const std::uint64_t s = a + b;
@@ -236,11 +250,12 @@ BitVector BitVector::operator>>(unsigned n) const {
 }
 
 bool BitVector::operator==(const BitVector& rhs) const {
-  return width_ == rhs.width_ && limbs_ == rhs.limbs_;
+  return width_ == rhs.width_ &&
+         std::equal(limbs_, limbs_ + limbCount(), rhs.limbs_);
 }
 
 int BitVector::compare(const BitVector& a, const BitVector& b) {
-  const std::size_t n = std::max(a.limbs_.size(), b.limbs_.size());
+  const std::size_t n = std::max(a.limbCount(), b.limbCount());
   for (std::size_t i = n; i-- > 0;) {
     const std::uint64_t la = a.limb(i);
     const std::uint64_t lb = b.limb(i);
@@ -282,7 +297,7 @@ std::size_t BitVector::hash() const {
     }
   };
   mix(width_);
-  for (const std::uint64_t l : limbs_) mix(l);
+  for (std::size_t i = 0; i < limbCount(); ++i) mix(limbs_[i]);
   return h;
 }
 

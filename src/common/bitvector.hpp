@@ -13,21 +13,56 @@
 // Values are stored little-endian in 64-bit limbs; bits above `width` are
 // always kept zero (class invariant, restored by trim() after every
 // mutating operation).
+//
+// Storage contract: up to kInlineLimbs (two) limbs, i.e. values of at most
+// 128 bits, live inside the object and never touch the heap. Every port
+// and every register of the four IPs fits, so a simulated cycle copies,
+// slices and compares them without allocating. Wider values (RAM's
+// 8192-bit `mem` array) own one heap buffer. Like a std::vector's capacity,
+// that buffer is kept when the vector is reassigned a narrower value, so a
+// wide -> narrow -> wide sequence of assignHex/assignBytes/copy-assignment
+// allocates only once. A moved-from BitVector is empty (width 0).
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace psmgen::common {
 
 class BitVector {
  public:
+  /// Limbs held inside the object; wider values live on the heap.
+  static constexpr std::size_t kInlineLimbs = 2;
+
   /// Constructs a zero-width (empty) vector.
   BitVector() = default;
 
   /// Constructs a `width`-bit vector holding `value` (truncated to width).
-  explicit BitVector(unsigned width, std::uint64_t value = 0);
+  explicit BitVector(unsigned width, std::uint64_t value = 0) {
+    setWidth(width);
+    zero();
+    if (width_ != 0) limbs_[0] = value;
+    trim();
+  }
+
+  // Construction, copies and moves are inline: device models and traces
+  // copy rows of values every cycle, and between inline values a copy is
+  // kInlineLimbs limb stores.
+  BitVector(const BitVector& other) { assign(other); }
+  BitVector(BitVector&& other) noexcept { take(other); }
+  BitVector& operator=(const BitVector& other) {
+    if (this != &other) assign(other);
+    return *this;
+  }
+  BitVector& operator=(BitVector&& other) noexcept {
+    if (this != &other) take(other);
+    return *this;
+  }
+  ~BitVector() {
+    if (onHeap()) delete[] limbs_;
+  }
 
   /// Parses a binary string, e.g. "1010" (MSB first). Width = string length.
   static BitVector fromBinary(const std::string& bits);
@@ -53,14 +88,22 @@ class BitVector {
   unsigned width() const { return width_; }
   bool empty() const { return width_ == 0; }
 
-  /// Number of 64-bit limbs backing the value.
-  std::size_t limbCount() const { return limbs_.size(); }
+  /// Number of 64-bit limbs backing the value: ceil(width / 64).
+  std::size_t limbCount() const { return limbsFor(width_); }
   std::uint64_t limb(std::size_t i) const {
-    return i < limbs_.size() ? limbs_[i] : 0;
+    return i < limbCount() ? limbs_[i] : 0;
   }
 
   bool bit(unsigned i) const;
   void setBit(unsigned i, bool v);
+
+  /// Overwrites bits [lo, lo+len) with the low `len` bits of `value`
+  /// (len <= 64), in place. Throws std::out_of_range if the field does not
+  /// fit the width or len > 64.
+  void setField(unsigned lo, unsigned len, std::uint64_t value);
+
+  /// Clears every bit in place, keeping the width and the storage.
+  void zero() { std::fill_n(limbs_, limbCount(), 0); }
 
   /// Least-significant 64 bits (the whole value if width <= 64).
   std::uint64_t toUint64() const;
@@ -77,7 +120,8 @@ class BitVector {
   /// Throws std::invalid_argument on width mismatch.
   static unsigned hammingDistance(const BitVector& a, const BitVector& b);
 
-  /// Extracts bits [lo, lo+len) as a new vector of width len.
+  /// Extracts bits [lo, lo+len) as a new vector of width len (read a whole
+  /// limb at a time).
   BitVector slice(unsigned lo, unsigned len) const;
 
   /// Returns {hi ++ lo}: `hi` occupies the most-significant positions.
@@ -121,11 +165,63 @@ class BitVector {
   std::size_t hash() const;
 
  private:
-  void trim();
+  static constexpr unsigned kLimbBits = 64;
+  static std::size_t limbsFor(unsigned width) {
+    return (static_cast<std::size_t>(width) + kLimbBits - 1) / kLimbBits;
+  }
+  bool onHeap() const { return limbs_ != inline_; }
+  /// Sets the width and makes room for its limbs, reusing the current
+  /// storage when it is large enough. Limb contents are unspecified.
+  void setWidth(unsigned width) {
+    const std::size_t n = limbsFor(width);
+    if (n > capacity_) grow(n);
+    width_ = width;
+  }
+  /// Replaces the storage with a zeroed heap buffer of n > capacity_ limbs.
+  void grow(std::size_t n);
+  void assign(const BitVector& other) {
+    setWidth(other.width_);
+    if (limbCount() <= kInlineLimbs) {
+      // Both storages hold at least kInlineLimbs initialized limbs.
+      for (std::size_t i = 0; i < kInlineLimbs; ++i) limbs_[i] = other.limbs_[i];
+    } else {
+      std::copy_n(other.limbs_, limbCount(), limbs_);
+    }
+  }
+  /// Moves other's value into *this and leaves other empty: a heap buffer
+  /// changes hands, an inline value is copied into this vector's storage.
+  void take(BitVector& other) noexcept {
+    if (other.onHeap()) {
+      if (onHeap()) delete[] limbs_;
+      limbs_ = other.limbs_;
+      capacity_ = other.capacity_;
+    } else {
+      for (std::size_t i = 0; i < kInlineLimbs; ++i) limbs_[i] = other.inline_[i];
+    }
+    width_ = other.width_;
+    other.limbs_ = other.inline_;
+    other.width_ = 0;
+    other.capacity_ = kInlineLimbs;
+  }
+  /// 64 bits starting at bit `pos` (zero beyond the stored limbs).
+  std::uint64_t word(unsigned pos) const;
+  void trim() {
+    const unsigned rem = width_ % kLimbBits;
+    if (rem != 0) {
+      limbs_[limbCount() - 1] &= ~std::uint64_t{0} >> (kLimbBits - rem);
+    }
+  }
 
+  /// The value's limbs: inline_, or a heap buffer once a value wider than
+  /// the inline limbs has been held (kept until destruction or a move).
+  std::uint64_t* limbs_ = inline_;
   unsigned width_ = 0;
-  std::vector<std::uint64_t> limbs_;
+  /// Limbs the storage holds: kInlineLimbs, or the heap buffer's size.
+  unsigned capacity_ = kInlineLimbs;
+  std::uint64_t inline_[kInlineLimbs] = {0, 0};
 };
+
+static_assert(sizeof(BitVector) <= 32, "BitVector must stay compact");
 
 struct BitVectorHash {
   std::size_t operator()(const BitVector& v) const { return v.hash(); }

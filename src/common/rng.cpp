@@ -80,11 +80,7 @@ bool Rng::chance(double probability) {
 BitVector Rng::bits(unsigned width) {
   BitVector v(width);
   for (unsigned base = 0; base < width; base += 64) {
-    const std::uint64_t r = next();
-    const unsigned n = std::min(64u, width - base);
-    for (unsigned i = 0; i < n; ++i) {
-      if ((r >> i) & 1u) v.setBit(base + i, true);
-    }
+    v.setField(base, std::min(64u, width - base), next());
   }
   return v;
 }

@@ -1,5 +1,7 @@
 #include "ip/aes.hpp"
 
+#include <stdexcept>
+
 namespace psmgen::ip {
 namespace aes {
 
@@ -205,27 +207,28 @@ Block decryptBlock(const Block& ciphertext, const Block& key) {
   return s;
 }
 
+// Byte i of a block is bits [(15-i)*8, (15-i)*8+8) of the 128-bit value:
+// block byte 0 is the most significant.
 Block toBlock(const common::BitVector& v) {
+  if (v.width() < 128) {
+    throw std::out_of_range("aes::toBlock: value narrower than 128 bits");
+  }
   Block b{};
   for (int i = 0; i < 16; ++i) {
-    std::uint8_t byte = 0;
-    for (int bit = 0; bit < 8; ++bit) {
-      if (v.bit(static_cast<unsigned>((15 - i) * 8 + bit))) {
-        byte |= static_cast<std::uint8_t>(1u << bit);
-      }
-    }
-    b[i] = byte;
+    const unsigned j = static_cast<unsigned>(15 - i);
+    b[i] = static_cast<std::uint8_t>(v.limb(j / 8) >> (8 * (j % 8)));
   }
   return b;
 }
 
 common::BitVector fromBlock(const Block& b) {
-  common::BitVector v(128);
+  std::uint64_t limbs[2] = {0, 0};
   for (int i = 0; i < 16; ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      if ((b[i] >> bit) & 1u) v.setBit(static_cast<unsigned>((15 - i) * 8 + bit), true);
-    }
+    const unsigned j = static_cast<unsigned>(15 - i);
+    limbs[j / 8] |= static_cast<std::uint64_t>(b[i]) << (8 * (j % 8));
   }
+  common::BitVector v(128, limbs[0]);
+  v.setField(64, 64, limbs[1]);
   return v;
 }
 

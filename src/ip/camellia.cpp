@@ -228,12 +228,8 @@ void decryptBlock(std::uint64_t in[2], std::uint64_t out[2],
 }  // namespace camellia
 
 namespace {
-std::uint64_t hi64(const common::BitVector& v) {
-  return v.slice(64, 64).toUint64();
-}
-std::uint64_t lo64(const common::BitVector& v) {
-  return v.slice(0, 64).toUint64();
-}
+std::uint64_t hi64(const common::BitVector& v) { return v.limb(1); }
+std::uint64_t lo64(const common::BitVector& v) { return v.limb(0); }
 }  // namespace
 
 CamelliaIP::CamelliaIP()
@@ -279,8 +275,9 @@ void CamelliaIP::reset() {
 }
 
 common::BitVector CamelliaIP::pack128(std::uint64_t hi, std::uint64_t lo) const {
-  return common::BitVector::concat(common::BitVector(64, hi),
-                                   common::BitVector(64, lo));
+  common::BitVector v(128, lo);
+  v.setField(64, 64, hi);
+  return v;
 }
 
 void CamelliaIP::evaluate(const rtl::PortValues& in, rtl::PortValues& out) {

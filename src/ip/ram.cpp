@@ -26,13 +26,7 @@ void RamIP::evaluate(const rtl::PortValues& in, rtl::PortValues& out) {
   const unsigned addr = static_cast<unsigned>(in[kAddr].toUint64());
   const unsigned lo = addr * kWordBits;
 
-  if (in[kWe].bit(0)) {
-    common::BitVector contents = mem_.value();
-    for (unsigned b = 0; b < kWordBits; ++b) {
-      contents.setBit(lo + b, in[kWdata].bit(b));
-    }
-    mem_.set(contents);
-  }
+  if (in[kWe].bit(0)) mem_.setField(lo, kWordBits, in[kWdata].toUint64());
   if (in[kOe].bit(0)) {
     out[kRdata] = mem_.value().slice(lo, kWordBits);
   }

@@ -11,22 +11,15 @@ unsigned ActivitySample::totalRegisterToggles() const {
 SwitchingActivityTracker::SwitchingActivityTracker(const rtl::Device& device)
     : device_(device) {}
 
-void SwitchingActivityTracker::reset() {
-  prev_regs_.clear();
-  prev_in_.clear();
-  prev_out_.clear();
-  has_prev_ = false;
-}
+void SwitchingActivityTracker::reset() { has_prev_ = false; }
 
-ActivitySample SwitchingActivityTracker::sample(const rtl::PortValues& in,
-                                                const rtl::PortValues& out) {
+const ActivitySample& SwitchingActivityTracker::sample(
+    const rtl::PortValues& in, const rtl::PortValues& out) {
   const auto& regs = device_.registers();
-  ActivitySample s;
-  s.register_toggles.resize(regs.size(), 0);
-  s.register_value_hash.resize(regs.size(), 0);
-  for (std::size_t i = 0; i < regs.size(); ++i) {
-    s.register_value_hash[i] = regs[i]->value().hash();
-  }
+  ActivitySample& s = sample_;
+  s.register_toggles.assign(regs.size(), 0);
+  s.input_toggles = 0;
+  s.output_toggles = 0;
   if (has_prev_) {
     for (std::size_t i = 0; i < regs.size(); ++i) {
       s.register_toggles[i] =
@@ -40,9 +33,10 @@ ActivitySample SwitchingActivityTracker::sample(const rtl::PortValues& in,
           common::BitVector::hammingDistance(out[i], prev_out_[i]);
     }
   }
-  prev_regs_.clear();
-  prev_regs_.reserve(regs.size());
-  for (const rtl::Register* r : regs) prev_regs_.push_back(r->value());
+  prev_regs_.resize(regs.size());
+  for (std::size_t i = 0; i < regs.size(); ++i) {
+    prev_regs_[i] = regs[i]->value();
+  }
   prev_in_ = in;
   prev_out_ = out;
   has_prev_ = true;

@@ -16,9 +16,6 @@ namespace psmgen::power {
 struct ActivitySample {
   /// Toggled register-file bits this cycle, per register (device order).
   std::vector<unsigned> register_toggles;
-  /// Hash of each register's new value (device order); used to derive
-  /// deterministic data-dependent glitch activity in the estimator.
-  std::vector<std::uint64_t> register_value_hash;
   /// Toggled input-port bits this cycle.
   unsigned input_toggles = 0;
   /// Toggled output-port bits this cycle.
@@ -36,8 +33,12 @@ class SwitchingActivityTracker {
   void reset();
 
   /// Call after Device::tick with that cycle's port values; returns the
-  /// per-bit toggle counts relative to the previous cycle.
-  ActivitySample sample(const rtl::PortValues& in, const rtl::PortValues& out);
+  /// per-bit toggle counts relative to the previous cycle. The sample is
+  /// owned by the tracker and overwritten by the next call. The snapshot
+  /// is copied into the previous cycle's buffers, so once one cycle has
+  /// sized them a sample allocates nothing.
+  const ActivitySample& sample(const rtl::PortValues& in,
+                               const rtl::PortValues& out);
 
  private:
   const rtl::Device& device_;
@@ -45,6 +46,7 @@ class SwitchingActivityTracker {
   rtl::PortValues prev_in_;
   rtl::PortValues prev_out_;
   bool has_prev_ = false;
+  ActivitySample sample_;
 };
 
 }  // namespace psmgen::power

@@ -1,5 +1,7 @@
 #include "power/gate_estimator.hpp"
 
+#include <algorithm>
+
 #include "common/strings.hpp"
 
 namespace psmgen::power {
@@ -41,7 +43,7 @@ double GateLevelEstimator::registerSwitchedBits(const ActivitySample& sample,
       sample.register_toggles[i] > 0) {
     // Deterministic data-dependent glitch factor in [1-g, 1+g]: mix the
     // register's new value hash into a uniform deviate.
-    std::uint64_t h = sample.register_value_hash[i];
+    std::uint64_t h = device_.registers()[i]->value().hash();
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdull;
     h ^= h >> 33;
@@ -111,10 +113,11 @@ GateLevelEstimator::PartitionedResult GateLevelEstimator::runPartitioned(
   tracker.reset();
   rtl::Simulator sim(device_);
   const auto& cfg = config_;
+  std::vector<double> bits(rest + 1);
   auto observer = [&](std::size_t, const rtl::PortValues& in,
                       const rtl::PortValues& out) {
-    const ActivitySample sample = tracker.sample(in, out);
-    std::vector<double> bits(rest + 1, 0.0);
+    const ActivitySample& sample = tracker.sample(in, out);
+    std::fill(bits.begin(), bits.end(), 0.0);
     for (std::size_t i = 0; i < sample.register_toggles.size(); ++i) {
       bits[owner[i]] += registerSwitchedBits(sample, i);
     }

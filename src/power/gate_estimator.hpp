@@ -13,9 +13,13 @@
 //   - a clock-tree term toggling every cycle (power is never exactly 0),
 //   - optional multiplicative Gaussian measurement noise.
 //
-// The estimator is deliberately an order of magnitude more expensive per
-// cycle than PSM simulation (it snapshots and diffs the full register
-// file), matching the speed relationship the paper reports in Sec. VI.
+// What the surrogate models, and therefore pays for on every cycle: a
+// snapshot and Hamming diff of the full register file (RAM's 8192-bit
+// array included) and of every port, plus AES's and Camellia's
+// combinational cones, which their device models evaluate unconditionally
+// whatever the FSM state. Host-side overhead is not modelled: a cycle
+// makes no heap allocation, and the glitch term hashes only the
+// glitch-prefixed registers that toggled.
 
 #include <cstdint>
 #include <string>
@@ -106,8 +110,13 @@ class GateLevelEstimator {
   /// this configuration — the C of the paper's formula.
   double effectiveCapacitanceBits() const { return total_cap_bits_; }
 
- private:
+  /// Power of one cycle from its activity sample. Call right after the
+  /// tracker sampled the device, since the glitch term reads the device's
+  /// current register values. Draws measurement noise, so the sequence of
+  /// calls matters.
   double cyclePower(const ActivitySample& sample);
+
+ private:
   double registerSwitchedBits(const ActivitySample& sample,
                               std::size_t i) const;
 

@@ -40,7 +40,12 @@ class Register {
   unsigned width() const { return value_.width(); }
   const common::BitVector& value() const { return value_; }
   void set(const common::BitVector& v);
-  void clear() { value_ = common::BitVector(value_.width()); }
+  /// Overwrites bits [lo, lo+len) (len <= 64) in place: one masked store
+  /// into the stored value, however wide the register is.
+  void setField(unsigned lo, unsigned len, std::uint64_t bits) {
+    value_.setField(lo, len, bits);
+  }
+  void clear() { value_.zero(); }
 
  private:
   std::string name_;

@@ -1,7 +1,8 @@
-// Allocation guard for the streaming predict path: once the reader's
-// first chunk has been buffered, parsing a row in place, evaluating its
-// proposition, stepping the PSM and folding the row into the quality
-// monitor's window must not touch the heap. This
+// Allocation guards for the streaming predict path and the gate-level
+// surrogate. Once the reader's first chunk has been buffered, parsing a
+// row in place, evaluating its proposition, stepping the PSM and folding
+// the row into the quality monitor's window must not touch the heap; nor
+// may one clock cycle of the power surrogate. This
 // executable replaces the global allocation functions with counting
 // wrappers around malloc/free, so any allocation that creeps back into
 // the per-row path fails these tests.
@@ -12,6 +13,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <ostream>
 #include <sstream>
 
 #include "core/flow.hpp"
@@ -85,6 +87,11 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 }
 
 namespace psmgen {
+namespace ip {
+// Names IpKind test parameters in gtest output.
+void PrintTo(IpKind kind, std::ostream* os) { *os << ipName(kind); }
+}  // namespace ip
+
 namespace {
 
 using common::BitVector;
@@ -237,6 +244,50 @@ TEST(AllocFree, QualityMonitorPredictRowWhileDwelling) {
   EXPECT_EQ(allocations, 0u);
   obs::metrics().setEnabled(false);
 }
+
+/// One gate-level surrogate cycle — Device::tick, the activity tracker's
+/// snapshot and diff, and the estimator's per-cycle power — makes no heap
+/// allocation once a warm-up cycle has sized the port and snapshot
+/// buffers. The stimulus is generated up front: testbenches build a fresh
+/// input vector per cycle, which is not part of the surrogate.
+class SurrogateCycle : public ::testing::TestWithParam<ip::IpKind> {};
+
+TEST_P(SurrogateCycle, MakesNoAllocation) {
+  const ip::IpKind kind = GetParam();
+  constexpr std::size_t kCycles = 4000;
+  auto tb = ip::makeTestbench(kind, ip::TestsetMode::Long, 0xA110C);
+  std::vector<rtl::PortValues> inputs;
+  inputs.reserve(kCycles);
+  for (std::size_t c = 0; c < kCycles; ++c) inputs.push_back(tb->next(c));
+
+  auto device = ip::makeDevice(kind);
+  power::GateLevelEstimator est(*device, ip::powerConfig(kind));
+  power::SwitchingActivityTracker tracker(*device);
+  device->reset();
+  rtl::PortValues out;
+  double energy = 0.0;
+  device->tick(inputs[0], out);
+  energy += est.cyclePower(tracker.sample(inputs[0], out));
+
+  std::size_t allocations = 0;
+  {
+    AllocationCounter counter;
+    for (std::size_t c = 1; c < kCycles; ++c) {
+      device->tick(inputs[c], out);
+      const power::ActivitySample& s = tracker.sample(inputs[c], out);
+      energy += est.cyclePower(s);
+    }
+    allocations = counter.count();
+  }
+  EXPECT_GT(energy, 0.0);
+  EXPECT_EQ(allocations, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllIps, SurrogateCycle,
+                         ::testing::ValuesIn(ip::kAllIps),
+                         [](const ::testing::TestParamInfo<ip::IpKind>& param) {
+                           return ip::ipName(param.param);
+                         });
 
 }  // namespace
 }  // namespace psmgen

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -191,6 +194,159 @@ TEST(BitVector, HashDistinguishesWidthAndValue) {
   EXPECT_NE(BitVector(8, 1).hash(), BitVector(9, 1).hash());
   EXPECT_NE(BitVector(8, 1).hash(), BitVector(8, 2).hash());
   EXPECT_EQ(BitVector(8, 1).hash(), BitVector(8, 1).hash());
+}
+
+// ---------------------------------------------------------------------
+// Storage: inline limbs up to 128 bits, one heap buffer above.
+// ---------------------------------------------------------------------
+
+/// A random value built one bit at a time (independent of the word-level
+/// paths under test).
+BitVector perBitRandom(Rng& rng, unsigned w) {
+  BitVector v(w);
+  std::uint64_t r = 0;
+  for (unsigned i = 0; i < w; ++i) {
+    if (i % 64 == 0) r = rng.next();
+    v.setBit(i, (r >> (i % 64)) & 1u);
+  }
+  return v;
+}
+
+TEST(BitVectorStorage, SizeBound) {
+  static_assert(sizeof(BitVector) <= 32);
+  EXPECT_EQ(BitVector::kInlineLimbs, 2u);
+}
+
+class BitVectorStorage : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(BitVectorStorage, CopyMoveAndSelfAssignKeepTheValue) {
+  const unsigned w = GetParam();
+  Rng rng(w * 101 + 9);
+  const BitVector original = perBitRandom(rng, w);
+
+  BitVector copy(original);
+  EXPECT_EQ(copy, original);
+  EXPECT_EQ(copy.hash(), original.hash());
+  copy.setBit(w - 1, !copy.bit(w - 1));  // a deep copy: original unchanged
+  EXPECT_NE(copy, original);
+
+  BitVector assigned(3, 5);
+  assigned = original;
+  EXPECT_EQ(assigned, original);
+  BitVector& alias = assigned;
+  assigned = alias;  // self copy-assignment
+  EXPECT_EQ(assigned, original);
+  assigned = std::move(alias);  // self move-assignment keeps the value
+  EXPECT_EQ(assigned, original);
+
+  BitVector moved(std::move(assigned));
+  EXPECT_EQ(moved, original);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is tested
+  EXPECT_EQ(assigned.width(), 0u);
+  EXPECT_TRUE(assigned.empty());
+  EXPECT_EQ(assigned, BitVector());
+
+  // A moved-from vector is reusable at any width.
+  assigned = original;
+  EXPECT_EQ(assigned, original);
+  BitVector target = BitVector::ones(8192);
+  target = std::move(moved);
+  EXPECT_EQ(target, original);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is tested
+  EXPECT_TRUE(moved.empty());
+  moved = BitVector(17, 3);
+  EXPECT_EQ(moved, BitVector(17, 3));
+
+  // Across widths in both directions.
+  for (const unsigned other : {1u, 64u, 128u, 129u, 8192u}) {
+    BitVector v = perBitRandom(rng, other);
+    const BitVector want = v;
+    v = original;
+    EXPECT_EQ(v, original) << other << " <- " << w;
+    v = want;
+    EXPECT_EQ(v, want) << w << " <- " << other;
+    BitVector m = original;
+    m = std::move(v);
+    EXPECT_EQ(m, want);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, BitVectorStorage,
+                         ::testing::Values(1u, 64u, 128u, 129u, 8192u));
+
+TEST(BitVectorStorage, AssignHexWideNarrowWideReuse) {
+  Rng rng(0xC0FFEE);
+  BitVector v;
+  for (const unsigned w : {8192u, 5u, 300u, 64u, 129u, 1u, 8192u, 128u}) {
+    const BitVector want = perBitRandom(rng, w);
+    v.assignHex(want.toHex(), w);
+    EXPECT_EQ(v, want) << w;
+    EXPECT_EQ(v.limbCount(), (w + 63) / 64) << w;
+    EXPECT_EQ(v.hash(), want.hash()) << w;
+    EXPECT_EQ(BitVector::compare(v, want), 0) << w;
+    EXPECT_EQ(v.toHex(), want.toHex()) << w;
+  }
+}
+
+TEST(BitVectorStorage, SliceMatchesPerBitReference) {
+  Rng rng(0x511CE);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const unsigned w = 1 + static_cast<unsigned>(rng.uniform(300));
+    const BitVector v = perBitRandom(rng, w);
+    // Half of the fields start within 3 bits of a limb boundary.
+    unsigned lo = static_cast<unsigned>(rng.uniform(w));
+    if (rng.chance(0.5) && w > 64) {
+      const unsigned boundary = 64 * (1 + static_cast<unsigned>(
+                                              rng.uniform((w - 1) / 64)));
+      lo = std::min(w - 1, boundary - std::min(boundary, 3u) +
+                               static_cast<unsigned>(rng.uniform(7)));
+    }
+    const unsigned len = static_cast<unsigned>(rng.uniform(w - lo + 1));
+    const BitVector s = v.slice(lo, len);
+    ASSERT_EQ(s.width(), len);
+    for (unsigned i = 0; i < len; ++i) {
+      ASSERT_EQ(s.bit(i), v.bit(lo + i)) << "w=" << w << " lo=" << lo
+                                         << " len=" << len << " i=" << i;
+    }
+    EXPECT_EQ(s, BitVector::fromHex(s.toHex(), len));  // high bits trimmed
+  }
+  EXPECT_THROW(BitVector(100).slice(90, 11), std::out_of_range);
+}
+
+TEST(BitVectorStorage, SetFieldMatchesPerBitReference) {
+  Rng rng(0xF1E1D);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const unsigned w = 1 + static_cast<unsigned>(rng.uniform(300));
+    BitVector v = perBitRandom(rng, w);
+    BitVector ref = v;
+    unsigned lo = static_cast<unsigned>(rng.uniform(w));
+    if (rng.chance(0.5) && w > 64) {
+      const unsigned boundary = 64 * (1 + static_cast<unsigned>(
+                                              rng.uniform((w - 1) / 64)));
+      lo = std::min(w - 1, boundary - std::min(boundary, 3u) +
+                               static_cast<unsigned>(rng.uniform(7)));
+    }
+    const unsigned len = static_cast<unsigned>(
+        rng.uniform(std::min(64u, w - lo) + 1));
+    const std::uint64_t bits = rng.next();  // bits above len are ignored
+    v.setField(lo, len, bits);
+    for (unsigned i = 0; i < len; ++i) ref.setBit(lo + i, (bits >> i) & 1u);
+    ASSERT_EQ(v, ref) << "w=" << w << " lo=" << lo << " len=" << len;
+  }
+  BitVector v(100);
+  EXPECT_THROW(v.setField(90, 11, 0), std::out_of_range);
+  EXPECT_THROW(v.setField(0, 65, 0), std::out_of_range);
+  v.setField(100, 0, ~0ull);  // an empty field at the end is a no-op
+  EXPECT_TRUE(v.isZero());
+}
+
+TEST(BitVectorStorage, ZeroKeepsWidth) {
+  BitVector v = BitVector::ones(8192);
+  v.zero();
+  EXPECT_EQ(v, BitVector(8192));
+  BitVector n = BitVector::ones(70);
+  n.zero();
+  EXPECT_EQ(n, BitVector(70));
 }
 
 // ---------------------------------------------------------------------
