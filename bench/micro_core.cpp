@@ -6,6 +6,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
+
 #include "common/rng.hpp"
 #include "core/flow.hpp"
 #include "core/generator.hpp"
@@ -18,29 +21,31 @@ namespace {
 
 using namespace psmgen;
 
-/// A trained RAM flow plus an evaluation trace shared across benchmarks.
-struct RamFixture {
+/// A flow trained on the IP's short testset plan plus a held-out
+/// long-testbench trace, built once per IP and shared across benchmarks.
+struct IpFixture {
   core::CharacterizationFlow flow;
   trace::FunctionalTrace eval;
 
-  RamFixture() {
-    auto device = ip::makeDevice(ip::IpKind::Ram);
-    power::GateLevelEstimator est(*device, ip::powerConfig(ip::IpKind::Ram));
-    for (const auto& spec : ip::shortTSPlan(ip::IpKind::Ram)) {
-      auto tb = ip::makeTestbench(ip::IpKind::Ram, ip::TestsetMode::Short,
-                                  spec.seed);
+  explicit IpFixture(ip::IpKind kind) {
+    auto device = ip::makeDevice(kind);
+    power::GateLevelEstimator est(*device, ip::powerConfig(kind));
+    for (const auto& spec : ip::shortTSPlan(kind)) {
+      auto tb = ip::makeTestbench(kind, ip::TestsetMode::Short, spec.seed);
       auto pair = est.run(*tb, spec.cycles);
       flow.addTrainingTrace(std::move(pair.functional), std::move(pair.power));
     }
     flow.build();
-    auto tb = ip::makeTestbench(ip::IpKind::Ram, ip::TestsetMode::Long, 99);
+    auto tb = ip::makeTestbench(kind, ip::TestsetMode::Long, 99);
     eval = est.run(*tb, 4096).functional;
   }
 };
 
-RamFixture& fixture() {
-  static RamFixture f;
-  return f;
+IpFixture& fixture(ip::IpKind kind = ip::IpKind::Ram) {
+  static std::map<ip::IpKind, std::unique_ptr<IpFixture>> cache;
+  auto& slot = cache[kind];
+  if (!slot) slot = std::make_unique<IpFixture>(kind);
+  return *slot;
 }
 
 void BM_HammingDistance128(benchmark::State& state) {
@@ -54,7 +59,7 @@ void BM_HammingDistance128(benchmark::State& state) {
 BENCHMARK(BM_HammingDistance128);
 
 void BM_PropositionMatch(benchmark::State& state) {
-  RamFixture& f = fixture();
+  IpFixture& f = fixture();
   std::size_t t = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.flow.domain().findRow(f.eval.step(t)));
@@ -64,7 +69,7 @@ void BM_PropositionMatch(benchmark::State& state) {
 BENCHMARK(BM_PropositionMatch);
 
 void BM_XuAutomatonMining(benchmark::State& state) {
-  RamFixture& f = fixture();
+  IpFixture& f = fixture();
   core::PropositionDomain domain = f.flow.domain();
   const core::PropositionTrace gamma =
       core::AssertionMiner::tracePropositions(domain, f.eval);
@@ -79,8 +84,8 @@ void BM_XuAutomatonMining(benchmark::State& state) {
 }
 BENCHMARK(BM_XuAutomatonMining);
 
-void BM_PsmSimulatorStep(benchmark::State& state) {
-  RamFixture& f = fixture();
+void BM_PsmSimulatorStep(benchmark::State& state, ip::IpKind kind) {
+  IpFixture& f = fixture(kind);
   auto session = f.flow.simulator().startSession();
   std::size_t t = 0;
   for (auto _ : state) {
@@ -88,7 +93,10 @@ void BM_PsmSimulatorStep(benchmark::State& state) {
     t = (t + 1) % f.eval.length();
   }
 }
-BENCHMARK(BM_PsmSimulatorStep);
+BENCHMARK_CAPTURE(BM_PsmSimulatorStep, RAM, ip::IpKind::Ram);
+BENCHMARK_CAPTURE(BM_PsmSimulatorStep, MultSum, ip::IpKind::MultSum);
+BENCHMARK_CAPTURE(BM_PsmSimulatorStep, AES, ip::IpKind::Aes);
+BENCHMARK_CAPTURE(BM_PsmSimulatorStep, Camellia, ip::IpKind::Camellia);
 
 void BM_GateLevelCycle(benchmark::State& state, ip::IpKind kind) {
   auto device = ip::makeDevice(kind);
@@ -116,8 +124,10 @@ void BM_WelchTTest(benchmark::State& state) {
 }
 BENCHMARK(BM_WelchTTest);
 
+/// The forward-filtering step on the AES model, whose state count makes
+/// the cost of the recurrence visible (RAM's model has three states).
 void BM_HmmFilterStep(benchmark::State& state) {
-  RamFixture& f = fixture();
+  IpFixture& f = fixture(ip::IpKind::Aes);
   const core::Hmm& hmm = f.flow.simulator().hmm();
   core::Hmm::Filter filter(hmm);
   core::EventId e = 0;
@@ -126,6 +136,7 @@ void BM_HmmFilterStep(benchmark::State& state) {
     e = static_cast<core::EventId>((e + 1) % hmm.eventCount());
     benchmark::DoNotOptimize(filter.belief());
   }
+  state.counters["states"] = static_cast<double>(hmm.stateCount());
 }
 BENCHMARK(BM_HmmFilterStep);
 

@@ -1,7 +1,6 @@
 #include "common/bitvector.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 namespace psmgen::common {
@@ -129,23 +128,8 @@ bool BitVector::any() const {
                      [](std::uint64_t l) { return l != 0; });
 }
 
-unsigned BitVector::popcount() const {
-  unsigned n = 0;
-  for (std::size_t i = 0; i < limbCount(); ++i) {
-    n += static_cast<unsigned>(std::popcount(limbs_[i]));
-  }
-  return n;
-}
-
-unsigned BitVector::hammingDistance(const BitVector& a, const BitVector& b) {
-  if (a.width_ != b.width_) {
-    throw std::invalid_argument("BitVector::hammingDistance: width mismatch");
-  }
-  unsigned n = 0;
-  for (std::size_t i = 0; i < a.limbCount(); ++i) {
-    n += static_cast<unsigned>(std::popcount(a.limbs_[i] ^ b.limbs_[i]));
-  }
-  return n;
+void BitVector::throwHammingWidthMismatch() {
+  throw std::invalid_argument("BitVector::hammingDistance: width mismatch");
 }
 
 BitVector BitVector::slice(unsigned lo, unsigned len) const {

@@ -114,11 +114,22 @@ class BitVector {
   bool isZero() const { return !any(); }
 
   /// Number of set bits.
-  unsigned popcount() const;
+  unsigned popcount() const {
+    unsigned n = 0;
+    for (std::size_t i = 0; i < limbCount(); ++i) n += popcount64(limbs_[i]);
+    return n;
+  }
 
   /// Hamming distance between two vectors of the same width.
   /// Throws std::invalid_argument on width mismatch.
-  static unsigned hammingDistance(const BitVector& a, const BitVector& b);
+  static unsigned hammingDistance(const BitVector& a, const BitVector& b) {
+    if (a.width_ != b.width_) throwHammingWidthMismatch();
+    unsigned n = 0;
+    for (std::size_t i = 0; i < a.limbCount(); ++i) {
+      n += popcount64(a.limbs_[i] ^ b.limbs_[i]);
+    }
+    return n;
+  }
 
   /// Extracts bits [lo, lo+len) as a new vector of width len (read a whole
   /// limb at a time).
@@ -166,6 +177,16 @@ class BitVector {
 
  private:
   static constexpr unsigned kLimbBits = 64;
+  /// Set bits of one limb in a few ALU operations. The build targets
+  /// baseline x86-64 (no -mpopcnt), where std::popcount is a libgcc call
+  /// per limb.
+  static unsigned popcount64(std::uint64_t x) {
+    x -= (x >> 1) & 0x5555555555555555ull;
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
+  }
+  [[noreturn]] static void throwHammingWidthMismatch();
   static std::size_t limbsFor(unsigned width) {
     return (static_cast<std::size_t>(width) + kLimbBits - 1) / kLimbBits;
   }

@@ -24,7 +24,14 @@
 // wrong state is suppressed in the belief and in the initial-choice
 // prior instead.
 
-#include <unordered_map>
+// The matrices are compiled into flat O(alternatives + transitions)
+// tables (never n x n or n x E: artifacts are untrusted input), so
+// Filter::step allocates nothing and adds exactly the dense recurrence's
+// non-zero terms in its order (DESIGN.md "Prediction accounting").
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/psm.hpp"
@@ -38,6 +45,13 @@ class Hmm {
  public:
   explicit Hmm(const Psm& psm);
 
+  /// The event of one (state, alternative) and b_j of that event (equal
+  /// alternatives of a state share the summed weight).
+  struct Emission {
+    EventId event = kNoEvent;
+    double b = 0.0;
+  };
+
   std::size_t stateCount() const { return n_; }
   std::size_t eventCount() const { return events_.size(); }
 
@@ -46,9 +60,16 @@ class Hmm {
   EventId eventOf(const PatternSeq& seq) const;
   const PatternSeq& event(EventId id) const { return events_.at(id); }
 
-  double a(StateId i, StateId j) const { return a_[index(i, j)]; }
+  double a(StateId i, StateId j) const;
   double b(StateId j, EventId e) const;
   double pi(StateId i) const { return pi_.at(static_cast<std::size_t>(i)); }
+
+  /// Emissions of state s, indexed like its assertion's alternatives.
+  std::span<const Emission> emissions(StateId s) const {
+    const auto k = static_cast<std::size_t>(s);
+    return {alt_emissions_.data() + alt_begin_[k],
+            alt_emissions_.data() + alt_begin_[k + 1]};
+  }
 
   class Filter {
    public:
@@ -65,7 +86,7 @@ class Hmm {
     void commit(StateId s);
 
     /// Predictive score of moving to `j` next, given the current belief
-    /// and the penalized transition matrix.
+    /// and the penalized transition weights.
     double predictiveScore(StateId j, EventId event) const;
 
     /// Most probable candidate as next state; kNoState for an empty list.
@@ -84,9 +105,9 @@ class Hmm {
     /// prior until relax(), so the repair cannot re-pick it.
     void penalizeState(StateId j);
 
-    /// Lifts every active penalty: restores the trained transition rows
-    /// and the initial prior. The belief is left as filtered (it evolves
-    /// on its own). Cheap no-op when nothing is penalized.
+    /// Lifts every active penalty: restores the trained transition
+    /// weights and the initial prior. The belief is left as filtered (it
+    /// evolves on its own). Cheap no-op when nothing is penalized.
     void relax();
 
     bool hasPenalties() const {
@@ -96,28 +117,47 @@ class Hmm {
     const std::vector<double>& belief() const { return belief_; }
 
    private:
+    /// Sum over the incoming edges of j of belief(i) * penalized a(i, j).
+    double predicted(std::size_t j) const;
+
     const Hmm* hmm_;
     std::vector<double> belief_;
+    /// step()'s output buffer, swapped with belief_ on success.
+    std::vector<double> next_;
+    /// The trained edge weights of hmm_->in_a_ with penalties applied.
     std::vector<double> a_penalized_;
-    /// Flat a_penalized_ indices currently forced to 0 (relax() undoes
-    /// them from hmm_->a_).
+    /// Edge indices currently forced to 0 (relax() restores them from
+    /// hmm_->in_a_); at most one entry per edge.
     std::vector<std::size_t> penalized_;
-    /// Initial-choice prior with penalizeState suppressions; empty means
-    /// "use hmm_->pi_ unmodified".
+    /// Initial-choice prior with penalizeState suppressions; only read
+    /// while pi_penalized_.
     std::vector<double> pi_overlay_;
     bool pi_penalized_ = false;
   };
 
  private:
-  std::size_t index(StateId i, StateId j) const {
-    return static_cast<std::size_t>(i) * n_ + static_cast<std::size_t>(j);
-  }
+  /// Index of edge i -> j in the incoming CSR, or in_src_.size().
+  std::size_t edgeIndex(StateId i, StateId j) const;
 
   std::size_t n_ = 0;
-  std::vector<double> a_;   ///< row-normalized, row-major
   std::vector<double> pi_;
   std::vector<PatternSeq> events_;
-  std::vector<std::unordered_map<EventId, double>> b_;  ///< per state
+  /// Per state: its alternatives' emissions, alt_begin_[s] .. [s + 1].
+  std::vector<std::size_t> alt_begin_;
+  std::vector<Emission> alt_emissions_;
+  /// Per event: the states emitting it with b > 0, ascending,
+  /// emitters_[emit_begin_[e]] .. [e + 1].
+  struct Emitter {
+    StateId state = kNoState;
+    double b = 0.0;
+  };
+  std::vector<std::size_t> emit_begin_;
+  std::vector<Emitter> emitters_;
+  /// Per target state: its incoming transitions, ascending by source,
+  /// in_src_/in_a_[in_begin_[j]] .. [j + 1] (row-normalized weights).
+  std::vector<std::size_t> in_begin_;
+  std::vector<StateId> in_src_;
+  std::vector<double> in_a_;
   friend class Filter;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -27,90 +28,169 @@ PsmSimulator::PsmSimulator(const Psm& psm, const PropositionDomain& domain,
   for (const auto& v : domain.variables().all()) {
     is_input_.push_back(v.kind == trace::VarKind::Input ? 1 : 0);
   }
+  for (const auto& s : psm.states()) {
+    std::size_t patterns = 0;
+    for (const PatternSeq& seq : s.assertion.alts) patterns += seq.size();
+    max_matches_ = std::max(max_matches_, patterns);
+  }
+
+  // Successor groups, ascending by (state, enabling proposition), each
+  // listing its unique targets in first-appearance order.
+  std::map<std::pair<StateId, PropId>, std::vector<StateId>> groups;
   for (const auto& t : psm.transitions()) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t.from)) << 32) |
-        static_cast<std::uint32_t>(t.enabling);
-    auto& targets = adjacency_[key];
+    auto& targets = groups[{t.from, t.enabling}];
     if (std::find(targets.begin(), targets.end(), t.to) == targets.end()) {
       targets.push_back(t.to);
     }
   }
+  succ_begin_.assign(psm.stateCount() + 1, 0);
+  for (const auto& [key, targets] : groups) {
+    const auto begin = static_cast<std::uint32_t>(succ_targets_.size());
+    succ_targets_.insert(succ_targets_.end(), targets.begin(), targets.end());
+    succ_groups_.push_back(
+        {key.second, begin, static_cast<std::uint32_t>(succ_targets_.size())});
+    ++succ_begin_[static_cast<std::size_t>(key.first) + 1];
+    max_successors_ = std::max(max_successors_, targets.size());
+  }
+  for (std::size_t k = 0; k + 1 < succ_begin_.size(); ++k) {
+    succ_begin_[k + 1] += succ_begin_[k];
+  }
 }
 
-const std::vector<StateId>& PsmSimulator::successors(StateId from,
-                                                     PropId enabling) const {
-  static const std::vector<StateId> kEmpty;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
-      static_cast<std::uint32_t>(enabling);
-  const auto it = adjacency_.find(key);
-  return it == adjacency_.end() ? kEmpty : it->second;
+std::span<const StateId> PsmSimulator::successors(StateId from,
+                                                  PropId enabling) const {
+  const auto k = static_cast<std::size_t>(from);
+  const auto first = succ_groups_.begin() +
+                     static_cast<std::ptrdiff_t>(succ_begin_[k]);
+  const auto last = succ_groups_.begin() +
+                    static_cast<std::ptrdiff_t>(succ_begin_[k + 1]);
+  const auto it = std::lower_bound(
+      first, last, enabling,
+      [](const SuccessorGroup& g, PropId p) { return g.enabling < p; });
+  if (it == last || it->enabling != enabling) return {};
+  return {succ_targets_.data() + it->begin, succ_targets_.data() + it->end};
 }
 
 PsmSimulator::Session::Session(const PsmSimulator& sim)
-    : sim_(&sim), filter_(sim.hmm_) {}
-
-double PsmSimulator::Session::outputPower(unsigned hd_in,
-                                          unsigned hd_io) const {
-  const StateId s = cur_ != kNoState ? cur_ : sim_->default_state_;
-  return sim_->psm_->state(s).output(hd_in, hd_io);
+    : sim_(&sim), filter_(sim.hmm_) {
+  configs_.reserve(sim.max_matches_);
+  survivors_.reserve(sim.max_matches_);
+  matches_.reserve(sim.max_matches_);
+  viable_.reserve(
+      std::max(sim.max_successors_, sim.psm_->initialStates().size()));
+  for (Checkpoint& chk : checkpoints_) {
+    chk.buffer.reserve(kMaxBacktrackRuns + 1);
+  }
+  replay_.reserve(kMaxBacktrackRuns + 1);
+  for (const auto& v : sim.domain_->variables().all()) {
+    prev_inputs_.emplace_back(v.width);
+  }
 }
 
-std::vector<PsmSimulator::Session::Config>
-PsmSimulator::Session::matchingConfigs(StateId s, PropId obs,
-                                       bool entry_only) const {
-  std::vector<Config> out;
-  const auto& alts = sim_->psm_->state(s).assertion.alts;
-  for (std::size_t a = 0; a < alts.size(); ++a) {
-    const std::size_t limit = entry_only ? 1 : alts[a].size();
-    for (std::size_t k = 0; k < limit && k < alts[a].size(); ++k) {
-      if (alts[a][k].p == obs) {
-        out.push_back({a, k});
-        if (entry_only) break;
-      }
+/// The output of the current (or fallback) state. Only a regression
+/// output reads the input and interface Hamming distances to the previous
+/// row, so only then are they computed.
+double PsmSimulator::Session::outputPower(
+    const std::vector<common::BitVector>& row) const {
+  const StateId s = cur_ != kNoState ? cur_ : sim_->default_state_;
+  const PowerState& state = sim_->psm_->state(s);
+  unsigned hd_in = 0;
+  unsigned hd_io = 0;
+  if (state.regression && has_prev_) {
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      const unsigned d =
+          common::BitVector::hammingDistance(row[k], prev_inputs_[k]);
+      hd_io += d;
+      if (sim_->is_input_[k]) hd_in += d;
     }
   }
-  return out;
+  return state.output(hd_in, hd_io);
 }
 
-/// Ranks a candidate state for a non-deterministic choice. With the HMM:
-/// the forward-filtering predictive mass into the state times the emission
+/// Fills matches_ with the configurations of `s` that accept `obs`: the
+/// alternatives whose first pattern opens on it (entry_only), or every
+/// (alternative, position) whose pattern does. Returns !matches_.empty().
+bool PsmSimulator::Session::matchConfigs(StateId s, PropId obs,
+                                         bool entry_only) {
+  matches_.clear();
+  const auto& alts = sim_->psm_->state(s).assertion.alts;
+  for (std::size_t a = 0; a < alts.size(); ++a) {
+    const PatternSeq& seq = alts[a];
+    const std::size_t limit = entry_only ? std::min<std::size_t>(1, seq.size())
+                                         : seq.size();
+    for (std::size_t k = 0; k < limit; ++k) {
+      if (seq[k].p == obs) matches_.push_back({a, k});
+    }
+  }
+  return !matches_.empty();
+}
+
+/// Ranks a candidate state, whose configurations matchConfigs just left in
+/// matches_, for a non-deterministic choice. With the HMM: the
+/// forward-filtering predictive mass into the state times the emission
 /// probability of the best alternative the entry would select (b_j of the
-/// observed assertion — previously the emission term was dropped entirely,
-/// wasting the B matrix at exactly the decisions it exists for), with the
-/// training population as an epsilon tie-break. Without the HMM: training
-/// population alone (the frequency-ablation policy).
-double PsmSimulator::Session::choiceScore(
-    StateId s, const std::vector<Config>& configs) const {
+/// observed assertion), with the training population as an epsilon
+/// tie-break. Without the HMM: training population alone (the
+/// frequency-ablation policy).
+double PsmSimulator::Session::choiceScore(StateId s) const {
   const PowerState& state = sim_->psm_->state(s);
   if (!sim_->options_.use_hmm) return static_cast<double>(state.power.n);
+  const std::span<const Hmm::Emission> emissions = sim_->hmm_.emissions(s);
   double b_best = 0.0;
-  for (const Config& c : configs) {
-    const EventId e = sim_->hmm_.eventOf(state.assertion.alts[c.alt]);
-    b_best = std::max(b_best, sim_->hmm_.b(s, e));
+  for (const Config& c : matches_) {
+    b_best = std::max(b_best, emissions[c.alt].b);
   }
   return filter_.predictiveScore(s, kNoEvent) * b_best +
          1e-9 * static_cast<double>(state.power.n);
 }
 
+/// The best-scoring target of (from, enabling) that accepts `obs`, first
+/// best on ties; `viable` counts the targets that qualified. An exit
+/// matches entry patterns only. A re-route (after `failed` violated)
+/// matches anywhere in the assertion and, with the HMM, skips targets the
+/// penalized transitions no longer reach.
+StateId PsmSimulator::Session::bestSuccessor(StateId from, PropId enabling,
+                                             PropId obs, bool reroute,
+                                             StateId failed,
+                                             std::size_t& viable) {
+  const std::span<const StateId> candidates = sim_->successors(from, enabling);
+  StateId best = kNoState;
+  double best_score = -1.0;
+  viable = 0;
+  for (const StateId c : candidates) {
+    if (reroute) {
+      if (c == failed) continue;
+      if (sim_->options_.use_hmm &&
+          filter_.predictiveScore(c, kNoEvent) <= 0.0) {
+        continue;
+      }
+    }
+    if (!matchConfigs(c, obs, /*entry_only=*/!reroute)) continue;
+    ++viable;
+    // A lone candidate needs no score.
+    const double score = candidates.size() > 1 ? choiceScore(c) : 0.0;
+    if (score > best_score) {
+      best_score = score;
+      best = c;
+    }
+  }
+  return best;
+}
+
 bool PsmSimulator::Session::enterState(StateId s, PropId obs, bool entry_only,
                                        bool was_choice, PropId enabling) {
-  std::vector<Config> configs = matchingConfigs(s, obs, entry_only);
-  if (configs.empty()) return false;
+  if (!matchConfigs(s, obs, entry_only)) return false;
   revert_from_ = cur_;
   cur_ = s;
   last_valid_ = s;
   entry_enabling_ = enabling;
-  configs_ = std::move(configs);
+  configs_.swap(matches_);
   lost_ = false;
   entry_was_choice_ = was_choice;
   if (was_choice) ++predictions_;
   if (sim_->options_.use_hmm) {
     // Belief update with the (first) matched assertion as observation.
-    const EventId e =
-        sim_->hmm_.eventOf(sim_->psm_->state(s).assertion.alts[configs_[0].alt]);
-    filter_.step(e);
+    filter_.step(sim_->hmm_.emissions(s)[configs_[0].alt].event);
     filter_.commit(s);
   }
   return true;
@@ -122,17 +202,13 @@ void PsmSimulator::Session::tryRecognize(PropId obs) {
   // assertion set (paper: stay in the last valid state until a known
   // behaviour is finally recognised).
   StateId best = kNoState;
-  std::vector<Config> best_configs;
   double best_score = -1.0;
   for (const auto& s : sim_->psm_->states()) {
-    std::vector<Config> configs =
-        matchingConfigs(s.id, obs, /*entry_only=*/false);
-    if (configs.empty()) continue;
-    const double score = choiceScore(s.id, configs);
+    if (!matchConfigs(s.id, obs, /*entry_only=*/false)) continue;
+    const double score = choiceScore(s.id);
     if (score > best_score) {
       best_score = score;
       best = s.id;
-      best_configs = std::move(configs);
     }
   }
   if (best != kNoState) {
@@ -179,34 +255,13 @@ void PsmSimulator::Session::handleViolation(PropId obs) {
   // Follow a different path from the last valid state: another target of
   // the same enabling function that accepts the current observation.
   if (from != kNoState && enabling != kNoProp) {
-    std::vector<StateId> viable;
-    std::vector<std::vector<Config>> viable_configs;
-    for (const StateId c : sim_->successors(from, enabling)) {
-      if (c == wrong_state) continue;
-      if (sim_->options_.use_hmm &&
-          filter_.predictiveScore(c, kNoEvent) <= 0.0) {
-        continue;
-      }
-      std::vector<Config> configs =
-          matchingConfigs(c, obs, /*entry_only=*/false);
-      if (configs.empty()) continue;
-      viable.push_back(c);
-      viable_configs.push_back(std::move(configs));
-    }
-    if (!viable.empty()) {
-      std::size_t best = 0;
-      double best_score = -1.0;
-      for (std::size_t i = 0; i < viable.size(); ++i) {
-        const double score = choiceScore(viable[i], viable_configs[i]);
-        if (score > best_score) {
-          best_score = score;
-          best = i;
-        }
-      }
-      if (enterState(viable[best], obs, /*entry_only=*/false,
-                     /*was_choice=*/viable.size() > 1, enabling)) {
-        return;
-      }
+    std::size_t viable = 0;
+    const StateId best = bestSuccessor(from, enabling, obs, /*reroute=*/true,
+                                       wrong_state, viable);
+    if (best != kNoState &&
+        enterState(best, obs, /*entry_only=*/false,
+                   /*was_choice=*/viable > 1, enabling)) {
+      return;
     }
   }
   // No alternative path: remain in the last valid state and wait for a
@@ -223,6 +278,21 @@ void PsmSimulator::Session::bufferObs(std::vector<Run>& buffer, PropId obs) {
   }
 }
 
+void PsmSimulator::Session::pushCheckpoint(StateId state, PropId enabling) {
+  if (checkpoint_count_ == kMaxCheckpoints) dropOldestCheckpoint();
+  Checkpoint& chk = checkpoints_[checkpoint_count_++];
+  chk.state = state;
+  chk.enabling = enabling;
+  chk.buffer.clear();
+}
+
+void PsmSimulator::Session::dropOldestCheckpoint() {
+  std::rotate(checkpoints_.begin(), checkpoints_.begin() + 1,
+              checkpoints_.begin() +
+                  static_cast<std::ptrdiff_t>(checkpoint_count_));
+  --checkpoint_count_;
+}
+
 double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
   if (row.size() != sim_->is_input_.size()) {
     throw std::invalid_argument(
@@ -230,18 +300,17 @@ double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
         " values, the domain has " + std::to_string(sim_->is_input_.size()) +
         " variables");
   }
-  // Input and interface Hamming distances for the regression output
-  // functions.
-  unsigned hd_in = 0;
-  unsigned hd_io = 0;
-  if (!prev_inputs_.empty()) {
+  // The Hamming distances compare consecutive rows of one stream: reject
+  // a value whose width changed before any state moves.
+  if (has_prev_) {
     for (std::size_t k = 0; k < row.size(); ++k) {
-      const unsigned d = common::BitVector::hammingDistance(row[k], prev_inputs_[k]);
-      hd_io += d;
-      if (sim_->is_input_[k]) hd_in += d;
+      if (row[k].width() != prev_inputs_[k].width()) {
+        throw std::invalid_argument(
+            "PsmSimulator::Session::step: value " + std::to_string(k) +
+            " changed width between rows");
+      }
     }
   }
-  prev_inputs_ = row;
 
   const PropId obs = sim_->domain_->findRow(row);
 
@@ -249,21 +318,18 @@ double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
     started_ = true;
     if (obs != kNoProp) {
       // Choose the starting state among all initial states (Sec. V).
-      std::vector<StateId> candidates;
+      viable_.clear();
       for (const StateId s : sim_->psm_->initialStates()) {
-        if (!matchingConfigs(s, obs, /*entry_only=*/true).empty()) {
-          candidates.push_back(s);
-        }
+        if (matchConfigs(s, obs, /*entry_only=*/true)) viable_.push_back(s);
       }
       StateId pick = kNoState;
-      if (!candidates.empty()) {
-        pick = sim_->options_.use_hmm
-                   ? filter_.bestInitial(candidates, kNoEvent)
-                   : candidates.front();
+      if (!viable_.empty()) {
+        pick = sim_->options_.use_hmm ? filter_.bestInitial(viable_, kNoEvent)
+                                      : viable_.front();
       }
       if (pick == kNoState ||
           !enterState(pick, obs, /*entry_only=*/true,
-                      /*was_choice=*/candidates.size() > 1,
+                      /*was_choice=*/viable_.size() > 1,
                       /*enabling=*/kNoProp)) {
         tryRecognize(obs);
       }
@@ -271,16 +337,18 @@ double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
   } else if (lost_) {
     tryRecognize(obs);
   } else {
-    for (auto& chk : checkpoints_) bufferObs(chk.buffer, obs);
-    while (!checkpoints_.empty() &&
-           checkpoints_.front().buffer.size() > kMaxBacktrackRuns) {
-      checkpoints_.erase(checkpoints_.begin());
+    for (std::size_t i = 0; i < checkpoint_count_; ++i) {
+      bufferObs(checkpoints_[i].buffer, obs);
     }
-    if (advanceCore(obs, /*allow_checkpoint=*/true) == Advance::Violation) {
+    while (checkpoint_count_ > 0 &&
+           checkpoints_[0].buffer.size() > kMaxBacktrackRuns) {
+      dropOldestCheckpoint();
+    }
+    if (advanceCore(obs) == Advance::Violation) {
       if (!tryBacktrack()) handleViolation(obs);
     } else if (filter_.hasPenalties()) {
       // A clean advance ends the mis-prediction repair: restore the
-      // trained transition matrix (hmm.hpp "transient penalties").
+      // trained transition weights (hmm.hpp "transient penalties").
       filter_.relax();
     }
   }
@@ -288,11 +356,14 @@ double PsmSimulator::Session::step(const std::vector<common::BitVector>& row) {
   // its processing ends desynchronized (so no path can count one row
   // twice, and a violation repaired within the row counts zero).
   if (lost_) ++lost_instants_;
-  return outputPower(hd_in, hd_io);
+  const double power = outputPower(row);
+  for (std::size_t k = 0; k < row.size(); ++k) prev_inputs_[k] = row[k];
+  has_prev_ = true;
+  return power;
 }
 
 PsmSimulator::Session::Advance PsmSimulator::Session::advanceCore(
-    PropId obs, bool allow_checkpoint) {
+    PropId obs) {
   // Advance every viable alternative of the current state's assertion.
   const auto& alts = sim_->psm_->state(cur_).assertion.alts;
   std::vector<Config>& survivors = survivors_;
@@ -323,12 +394,8 @@ PsmSimulator::Session::Advance PsmSimulator::Session::advanceCore(
     // forgone exit is checkpointed: if the surviving interpretation later
     // dies, tryBacktrack() revisits the exit and replays the buffered
     // observations through it (bounded NFA backtracking).
-    if (allow_checkpoint && exit_requested &&
-        !sim_->successors(cur_, obs).empty()) {
-      if (checkpoints_.size() >= kMaxCheckpoints) {
-        checkpoints_.erase(checkpoints_.begin());
-      }
-      checkpoints_.push_back({cur_, obs, {}});
+    if (exit_requested && !sim_->successors(cur_, obs).empty()) {
+      pushCheckpoint(cur_, obs);
     }
     configs_.swap(survivors);
     return Advance::Stayed;
@@ -348,35 +415,19 @@ PsmSimulator::Session::Advance PsmSimulator::Session::advanceCore(
   if (!exit_requested) return Advance::Violation;
 
   // Leave through the transition enabled by the observed proposition.
-  const std::vector<StateId>& candidates = sim_->successors(cur_, obs);
-  std::vector<StateId> viable;
-  std::vector<std::vector<Config>> viable_configs;
-  for (const StateId c : candidates) {
-    std::vector<Config> configs = matchingConfigs(c, obs, /*entry_only=*/true);
-    if (configs.empty()) continue;
-    viable.push_back(c);
-    viable_configs.push_back(std::move(configs));
-  }
-  if (!viable.empty()) {
-    std::size_t best = 0;
-    double best_score = -1.0;
-    for (std::size_t i = 0; i < viable.size(); ++i) {
-      const double score = choiceScore(viable[i], viable_configs[i]);
-      if (score > best_score) {
-        best_score = score;
-        best = i;
-      }
-    }
-    if (enterState(viable[best], obs, /*entry_only=*/true,
-                   /*was_choice=*/viable.size() > 1, /*enabling=*/obs)) {
-      return Advance::Exited;
-    }
+  std::size_t viable = 0;
+  const StateId best = bestSuccessor(cur_, obs, obs, /*reroute=*/false,
+                                     kNoState, viable);
+  if (best != kNoState &&
+      enterState(best, obs, /*entry_only=*/true, /*was_choice=*/viable > 1,
+                 /*enabling=*/obs)) {
+    return Advance::Exited;
   }
   return Advance::Violation;
 }
 
 bool PsmSimulator::Session::tryBacktrack() {
-  while (!checkpoints_.empty()) {
+  while (checkpoint_count_ > 0) {
     if (tryCheckpoint()) return true;
   }
   return false;
@@ -384,35 +435,31 @@ bool PsmSimulator::Session::tryBacktrack() {
 
 /// Attempts the newest checkpoint; pops it regardless of the outcome.
 bool PsmSimulator::Session::tryCheckpoint() {
-  Checkpoint chk = std::move(checkpoints_.back());
-  checkpoints_.pop_back();
-
+  Checkpoint& chk = checkpoints_[checkpoint_count_ - 1];
   const StateId from = chk.state;
   const PropId enabling = chk.enabling;
-  const std::vector<Run>& buffer = chk.buffer;
+  replay_.swap(chk.buffer);
+  --checkpoint_count_;
 
   // Take the forgone exit at the checkpointed instant...
-  const std::vector<StateId>& candidates = sim_->successors(from, enabling);
-  std::vector<StateId> viable;
-  for (const StateId c : candidates) {
-    if (!matchingConfigs(c, enabling, /*entry_only=*/true).empty()) {
-      viable.push_back(c);
-    }
+  viable_.clear();
+  for (const StateId c : sim_->successors(from, enabling)) {
+    if (matchConfigs(c, enabling, /*entry_only=*/true)) viable_.push_back(c);
   }
-  if (viable.empty()) return false;
+  if (viable_.empty()) return false;
   // Order candidates by HMM preference but try them all: the revision is a
   // deterministic reinterpretation of already-seen behaviour, so whichever
   // candidate replays the buffered observations is the right one.
   if (sim_->options_.use_hmm) {
-    const StateId best = filter_.bestAmong(viable, kNoEvent);
-    for (std::size_t i = 0; i < viable.size(); ++i) {
-      if (viable[i] == best) {
-        std::swap(viable[0], viable[i]);
+    const StateId best = filter_.bestAmong(viable_, kNoEvent);
+    for (std::size_t i = 0; i < viable_.size(); ++i) {
+      if (viable_[i] == best) {
+        std::swap(viable_[0], viable_[i]);
         break;
       }
     }
   }
-  for (const StateId pick : viable) {
+  for (const StateId pick : viable_) {
     cur_ = from;
     if (!enterState(pick, enabling, /*entry_only=*/true,
                     /*was_choice=*/false, enabling)) {
@@ -422,22 +469,19 @@ bool PsmSimulator::Session::tryCheckpoint() {
     // Conflicts during the replay may record checkpoints of their own;
     // those only see the remaining buffered observations (older
     // checkpoints already received them through step()).
-    const std::size_t baseline = checkpoints_.size();
-    for (const Run& run : buffer) {
+    const std::size_t baseline = checkpoint_count_;
+    for (const Run& run : replay_) {
       for (std::uint32_t r = 0; ok && r < run.count; ++r) {
-        for (std::size_t j = baseline; j < checkpoints_.size(); ++j) {
+        for (std::size_t j = baseline; j < checkpoint_count_; ++j) {
           bufferObs(checkpoints_[j].buffer, run.p);
         }
-        if (advanceCore(run.p, /*allow_checkpoint=*/true) ==
-            Advance::Violation) {
-          ok = false;
-        }
+        if (advanceCore(run.p) == Advance::Violation) ok = false;
       }
       if (!ok) break;
     }
     if (ok) return true;
     // Drop checkpoints recorded under the failed interpretation.
-    checkpoints_.resize(std::min(checkpoints_.size(), baseline));
+    checkpoint_count_ = std::min(checkpoint_count_, baseline);
   }
   return false;
 }

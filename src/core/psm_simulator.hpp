@@ -48,9 +48,10 @@
 // The Session object exposes a streaming per-cycle API so the SystemC-lite
 // PSM module can co-simulate with the IP model (Table III).
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "core/hmm.hpp"
@@ -141,17 +142,18 @@ class PsmSimulator {
     /// than the cap — the root cause of the RAM WSP blow-up.)
     static constexpr std::size_t kMaxBacktrackRuns = 64;
 
-    double outputPower(unsigned hd_in, unsigned hd_io) const;
+    double outputPower(const std::vector<common::BitVector>& row) const;
     bool enterState(StateId s, PropId obs, bool entry_only, bool was_choice,
                     PropId enabling);
-    Advance advanceCore(PropId obs, bool allow_checkpoint);
+    Advance advanceCore(PropId obs);
     bool tryBacktrack();
     bool tryCheckpoint();
     void handleViolation(PropId obs);
     void tryRecognize(PropId obs);
-    std::vector<Config> matchingConfigs(StateId s, PropId obs,
-                                        bool entry_only) const;
-    double choiceScore(StateId s, const std::vector<Config>& configs) const;
+    StateId bestSuccessor(StateId from, PropId enabling, PropId obs,
+                          bool reroute, StateId failed, std::size_t& viable);
+    bool matchConfigs(StateId s, PropId obs, bool entry_only);
+    double choiceScore(StateId s) const;
 
     const PsmSimulator* sim_;
     Hmm::Filter filter_;
@@ -163,10 +165,17 @@ class PsmSimulator {
     PropId entry_enabling_ = kNoProp;
     /// The entry into cur_ was a non-deterministic HMM choice.
     bool entry_was_choice_ = false;
+    /// The viable alternatives of cur_. It and the two working buffers
+    /// below are reserved for the largest assertion at construction and
+    /// only ever swapped, so no step allocates.
     std::vector<Config> configs_;
-    /// advanceCore's working buffer, swapped with configs_ on a stay so the
-    /// per-row path reuses both buffers instead of allocating.
+    /// advanceCore's survivors, swapped with configs_ on a stay.
     std::vector<Config> survivors_;
+    /// matchConfigs' output, swapped with configs_ on an entry.
+    std::vector<Config> matches_;
+    /// tryCheckpoint's candidate list, reserved for the widest successor
+    /// list; also the initial choice's candidates.
+    std::vector<StateId> viable_;
     /// A forgone exit (survivors were preferred) that violation handling
     /// may revisit; buffer holds the observations seen since,
     /// run-length-encoded (power traces dwell, so runs are the natural
@@ -183,8 +192,21 @@ class PsmSimulator {
     };
     static void bufferObs(std::vector<Run>& buffer, PropId obs);
     static constexpr std::size_t kMaxCheckpoints = 4;
-    std::vector<Checkpoint> checkpoints_;
+    /// The checkpoint stack, oldest first, in pooled slots whose buffers
+    /// keep their capacity (kMaxBacktrackRuns + 1 runs, the most a
+    /// checkpoint holds before step() drops it); dropping the oldest
+    /// rotates its slot to the free end.
+    void pushCheckpoint(StateId state, PropId enabling);
+    void dropOldestCheckpoint();
+    std::array<Checkpoint, kMaxCheckpoints> checkpoints_;
+    std::size_t checkpoint_count_ = 0;
+    /// The buffer tryCheckpoint replays, swapped out of its slot so that
+    /// checkpoints recorded during the replay may reuse the slot.
+    std::vector<Run> replay_;
+    /// The previous row's values (for the Hamming distances), pre-sized
+    /// to the domain's variable widths.
     std::vector<common::BitVector> prev_inputs_;
+    bool has_prev_ = false;
     std::size_t predictions_ = 0;
     std::size_t wrong_ = 0;
     std::size_t unexpected_ = 0;
@@ -201,7 +223,9 @@ class PsmSimulator {
   const PropositionDomain& domain() const { return *domain_; }
 
  private:
-  const std::vector<StateId>& successors(StateId from, PropId enabling) const;
+  /// Unique targets of the transitions leaving `from` on `enabling`, in
+  /// first-appearance order.
+  std::span<const StateId> successors(StateId from, PropId enabling) const;
 
   const Psm* psm_;
   const PropositionDomain* domain_;
@@ -211,9 +235,22 @@ class PsmSimulator {
   StateId default_state_ = kNoState;
   /// Per trace-variable: is it a primary input (for the input-HD scope).
   std::vector<char> is_input_;
-  /// (state, enabling proposition) -> unique successor states; built once
-  /// so the per-cycle hot path avoids scanning the transition list.
-  std::unordered_map<std::uint64_t, std::vector<StateId>> adjacency_;
+  /// Successor lists in CSR form, built once so the per-cycle path
+  /// neither scans the transition list nor hashes: state s owns groups
+  /// succ_begin_[s] .. succ_begin_[s + 1], ascending by enabling
+  /// proposition, each naming a range of succ_targets_.
+  struct SuccessorGroup {
+    PropId enabling = kNoProp;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+  std::vector<std::size_t> succ_begin_;
+  std::vector<SuccessorGroup> succ_groups_;
+  std::vector<StateId> succ_targets_;
+  /// Session buffer sizes: the most (alternative, position) matches any
+  /// state's assertion yields, and the longest successor list.
+  std::size_t max_matches_ = 0;
+  std::size_t max_successors_ = 0;
 };
 
 }  // namespace psmgen::core

@@ -1,8 +1,9 @@
 // Allocation guards for the streaming predict path and the gate-level
 // surrogate. Once the reader's first chunk has been buffered, parsing a
-// row in place, evaluating its proposition, stepping the PSM and folding
-// the row into the quality monitor's window must not touch the heap; nor
-// may one clock cycle of the power surrogate. This
+// row in place, evaluating its proposition, stepping the PSM — on every
+// path: dwelling, exits, violations, backtracking, resynchronization —
+// and folding the row into the quality monitor's window must not touch
+// the heap; nor may one clock cycle of the power surrogate. This
 // executable replaces the global allocation functions with counting
 // wrappers around malloc/free, so any allocation that creeps back into
 // the per-row path fails these tests.
@@ -16,8 +17,10 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/rng.hpp"
 #include "core/flow.hpp"
 #include "ip/ip_factory.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "power/gate_estimator.hpp"
 #include "runtime/online_predictor.hpp"
@@ -244,6 +247,79 @@ TEST(AllocFree, QualityMonitorPredictRowWhileDwelling) {
   EXPECT_EQ(allocations, 0u);
   obs::metrics().setEnabled(false);
 }
+
+/// A full predictRow pass over a held-out trace, and over a copy of it
+/// with one bit flipped in 1% of the rows, makes no heap allocation once
+/// one warm-up pass over each has run. The flipped rows drive the cold
+/// paths of the step: violations, checkpoint backtracking, re-routing and
+/// recognition while lost. The logger runs at error level, as `psmgen
+/// serve --quiet` does: a rate-limited resync warn line formats a string,
+/// and whether one falls inside a counted pass depends on wall time.
+class PredictRowPass : public ::testing::TestWithParam<ip::IpKind> {};
+
+TEST_P(PredictRowPass, MakesNoAllocation) {
+  const ip::IpKind kind = GetParam();
+  auto device = ip::makeDevice(kind);
+  power::GateLevelEstimator est(*device, ip::powerConfig(kind));
+  core::CharacterizationFlow flow;
+  for (const auto& spec : ip::shortTSPlan(kind)) {
+    auto tb = ip::makeTestbench(kind, ip::TestsetMode::Short, spec.seed);
+    auto pair = est.run(*tb, 4000);
+    flow.addTrainingTrace(std::move(pair.functional), std::move(pair.power));
+  }
+  flow.build();
+  auto tb = ip::makeTestbench(kind, ip::TestsetMode::Long, 0xA110C);
+  const trace::FunctionalTrace eval = est.run(*tb, 10000).functional;
+  trace::FunctionalTrace perturbed(eval.variables());
+  common::Rng rng(0xF11B);
+  for (std::size_t t = 0; t < eval.length(); ++t) {
+    std::vector<BitVector> row = eval.step(t);
+    if (rng.chance(0.01)) {
+      BitVector& v = row[rng.uniform(row.size())];
+      const auto bit = static_cast<unsigned>(rng.uniform(v.width()));
+      v.setBit(bit, !v.bit(bit));
+    }
+    perturbed.append(std::move(row));
+  }
+
+  const obs::LogLevel level = obs::logger().level();
+  obs::logger().setLevel(obs::LogLevel::Error);
+  runtime::OnlinePredictor predictor(flow.psm(), flow.domain());
+  double sum = 0.0;
+  const auto pass = [&](const trace::FunctionalTrace& t) {
+    for (std::size_t i = 0; i < t.length(); ++i) {
+      sum += predictor.predictRow(t.step(i));
+    }
+  };
+  pass(eval);
+  pass(perturbed);
+  std::size_t held_out_allocations = 0;
+  {
+    AllocationCounter counter;
+    pass(eval);
+    held_out_allocations = counter.count();
+  }
+  const runtime::PredictorStats before = predictor.stats();
+  std::size_t perturbed_allocations = 0;
+  {
+    AllocationCounter counter;
+    pass(perturbed);
+    perturbed_allocations = counter.count();
+  }
+  obs::logger().setLevel(level);
+  const runtime::PredictorStats& after = predictor.stats();
+  EXPECT_GT(sum, 0.0);
+  EXPECT_GT(after.unexpected_behaviours, before.unexpected_behaviours);
+  EXPECT_GT(after.resyncs, before.resyncs);
+  EXPECT_EQ(held_out_allocations, 0u);
+  EXPECT_EQ(perturbed_allocations, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllIps, PredictRowPass,
+                         ::testing::ValuesIn(ip::kAllIps),
+                         [](const ::testing::TestParamInfo<ip::IpKind>& param) {
+                           return ip::ipName(param.param);
+                         });
 
 /// One gate-level surrogate cycle — Device::tick, the activity tracker's
 /// snapshot and diff, and the estimator's per-cycle power — makes no heap

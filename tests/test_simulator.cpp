@@ -191,6 +191,8 @@ TEST(Simulator, StepRejectsRowOfWrongArity) {
   EXPECT_THROW(session.step({}), std::invalid_argument);
   EXPECT_THROW(session.step({BitVector(2, 0), BitVector(2, 1)}),
                std::invalid_argument);
+  // So is a value whose width changed from the previous row's.
+  EXPECT_THROW(session.step({BitVector(3, 0)}), std::invalid_argument);
   // The rejected rows left the session untouched.
   EXPECT_DOUBLE_EQ(session.step({BitVector(2, 0)}), 1.0);
   EXPECT_EQ(session.lostInstants(), 0u);
