@@ -10,7 +10,7 @@
 // StreamingTraceReader + OnlinePredictor with the default chunk size, and
 // (c) prediction accuracy vs the gate-level ground truth: WSP%, lost%,
 // resyncs/kilorow (predict.* gauges) plus power MAE/MRE (bench.* gauges)
-// — the quantities scripts/accuracy_gate.py pins against BENCH_table4.json.
+// — the quantities scripts/bench_gate.py pins against BENCH_table4.json.
 //
 // stdout is a JSON array of {"ip": ..., "metrics": {...}} objects where
 // each "metrics" value is one full dump of the obs metrics registry
@@ -129,7 +129,6 @@ int main(int argc, char** argv) {
     reg.gauge("bench.rows_per_second")
         .set(stream_s > 0.0 ? static_cast<double>(stats.rows) / stream_s
                             : 0.0);
-    reg.gauge("bench.predict_rows_per_second").set(stats.rowsPerSecond());
     reg.gauge("bench.power_mae_watts").set(mae);
     reg.gauge("bench.power_mre_percent").set(mre_pct);
 

@@ -13,8 +13,8 @@
 // all sessions) and aggregate serving throughput in rows/second.
 //
 // stdout is the same JSON shape as table4: [{"ip": "RAM", "metrics":
-// {...}}] with the load results in bench.serve.* gauges, pinned by
-// scripts/load_gate.py against BENCH_table6.json.
+// {...}}] with the load results in bench.serve.* gauges, gated by
+// scripts/bench_gate.py against the parent commit's runs.
 
 #include <algorithm>
 #include <atomic>
@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
   const std::size_t sessions = sizeArg(argc, argv, "--sessions", 64);
   const std::size_t cycles = bench::cyclesArg(argc, argv, 3000);
   const std::size_t batch = sizeArg(argc, argv, "--batch", 256);
-  // --flight-events 0 measures the recorder-off baseline for the
-  // overhead check in scripts/load_gate.py; the default matches serve's.
+  // --flight-events 0 measures the recorder-off reference for the
+  // overhead row of scripts/bench_gate.py; the default matches serve's.
   const std::size_t flight_events =
       sizeArgAllowZero(argc, argv, "--flight-events", 1024);
   // Per-session row rate cap; 0 = unthrottled. CI's mid-load scrape run

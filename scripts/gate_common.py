@@ -1,72 +1,14 @@
 """Shared helpers for the scripts/*_gate.py CI gates.
 
-Every gate follows the same conventions — a committed JSON baseline at
-the repo root, candidate runs compared against it, tolerances that an
-environment variable can override but a command-line flag wins, and a
-``--update`` mode that refreshes the baseline from the best candidate.
 The gates stay single-file runnable (``scripts/foo_gate.py ...`` with no
 package install), so this module is imported by path-relative sibling
 import: each gate does ``sys.path.insert(0, os.path.dirname(__file__))``
 before ``import gate_common``.
 """
 
-import json
-import os
-
-
-def load_json_array(path, expect_len=None):
-    """Loads a JSON file that must be a non-empty array.
-
-    ``expect_len`` additionally pins the exact length (the table6 bench
-    emits exactly one entry). Raises ValueError with the path in the
-    message, which the gates surface as ``FAIL: ...``.
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        entries = json.load(f)
-    if not isinstance(entries, list) or not entries:
-        raise ValueError(f"{path}: expected a non-empty JSON array")
-    if expect_len is not None and len(entries) != expect_len:
-        raise ValueError(
-            f"{path}: expected a {expect_len}-entry JSON array")
-    return entries
-
-
-def env_float(flag_value, env_var, default):
-    """Resolves a numeric knob: command-line flag > env var > default."""
-    if flag_value is not None:
-        return flag_value
-    return float(os.environ.get(env_var, default))
-
-
-def require_fraction(parser, name, value):
-    """parser.error() unless 0 < value < 1 (a fractional tolerance)."""
-    if not 0.0 < value < 1.0:
-        parser.error(f"{name} must be in (0, 1), got {value}")
-    return value
-
-
-def require_non_negative(parser, name, value):
-    """parser.error() unless value >= 0 (an additive tolerance)."""
-    if value < 0.0:
-        parser.error(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def update_baseline(baseline_path, best_path):
-    """Rewrites the committed baseline from the chosen candidate run.
-
-    The baseline keeps the candidate's full payload (every gauge, not
-    just the gated ones) so future gates and humans see the whole run.
-    """
-    with open(best_path, "r", encoding="utf-8") as f:
-        payload = f.read()
-    with open(baseline_path, "w", encoding="utf-8") as f:
-        f.write(payload)
-    print(f"baseline {baseline_path} updated from {best_path}")
-
 
 def verdict(ok):
-    """The per-row verdict column every gate prints."""
+    """The per-row verdict column a gate prints."""
     return "ok" if ok else "REGRESSION"
 
 

@@ -3,10 +3,9 @@
 
 Runs ``psmgen lint --json`` on every given ``.psm`` artifact and fails
 when any of them carries an error-severity finding (the lint exit code).
-This is the CI twin of scripts/perf_gate.py: perf_gate keeps the serving
-path fast, lint_gate keeps the served models semantically sound —
-transition rows that sum to 1, reachable states, finite power
-attributes, well-formed assertions, intact artifact framing.
+It keeps the served models semantically sound: transition rows that sum
+to 1, reachable states, finite power attributes, well-formed assertions,
+intact artifact framing.
 
 Usage::
 
@@ -17,7 +16,7 @@ Usage::
     # also save the machine-readable psmgen.lint.v1 reports
     scripts/lint_gate.py --psmgen ... --report-dir lint-reports *.psm
 
-Like perf_gate.py, the gate self-tests by default: it bit-flips a copy
+The gate self-tests by default: it bit-flips a copy
 of the first artifact and requires the lint to reject it, so a silently
 neutered gate (a lint binary that always exits 0, a truncated check
 registry) cannot keep passing. ``--no-self-test`` skips that step.

@@ -113,7 +113,8 @@ int usage() {
       "--stdio restores the single-stream mode: rows from --eval or "
       "stdin,\nestimates on stdout byte-identical to predict. Both "
       "modes serve GET /metrics /healthz\n/readyz /buildinfo on a "
-      "second port):\n"
+      "second port; /readyz is 503 once a drain starts in TCP mode\n"
+      "and once the quality status is drifted in --stdio mode):\n"
       "  --stdio            single-stream stdin/stdout mode "
       "(byte-identical to predict)\n"
       "  --serve-port N     prediction protocol port "
@@ -129,10 +130,14 @@ int usage() {
       "  --port-file F      write the bound port to F (for --port 0)\n"
       "  --window N         drift-detection sliding window rows "
       "(default 2048)\n"
-      "  --drift-wsp PCT    windowed WSP %% that flips /readyz to 503 "
-      "(default 35; degraded at half)\n"
-      "  --drift-z Z        power-residual EWMA z-score that flips "
-      "/readyz to 503 (default 6; degraded at half)\n"
+      "  --drift-wsp PCT    windowed WSP %% that marks the quality "
+      "status drifted (default 35;\n"
+      "                     degraded at half); with --stdio, drifted "
+      "flips /readyz to 503\n"
+      "  --drift-z Z        power-residual EWMA z-score that marks the "
+      "quality status drifted\n"
+      "                     (default 6; degraded at half); with --stdio, "
+      "drifted flips /readyz to 503\n"
       "  --linger-ms N      keep serving N ms after the input stream "
       "ends (default 0)\n"
       "  --flight-events N  flight-recorder ring capacity per thread "

@@ -1,8 +1,8 @@
 // Held-out prediction-accuracy regression tests (ROADMAP
 // "prediction-accuracy offensive"): train each benchmark IP on its short
 // testset plan at reduced scale and replay an unseen long-testbench
-// trace, pinning the prediction counters the CI accuracy gate tracks
-// (scripts/accuracy_gate.py). The four mined PSMs are
+// trace, pinning the prediction counters the accuracy rows of the CI bench gate
+// track (scripts/bench_gate.py). The four mined PSMs are
 // transition-deterministic — every (state, enabling proposition) pair has
 // exactly one successor — so a held-out replay resolves no
 // non-deterministic choice and a correct session reports zero wrong
@@ -65,7 +65,7 @@ void expectAccuracy(const AccuracyRun& r, std::size_t max_lost_permille,
   // Structural invariant: wrong predictions are a subset of predictions.
   EXPECT_LE(r.unseen.wrong_predictions, r.unseen.predictions);
   // Deterministic PSMs resolve no choices on replay: zero wrong
-  // predictions and WSP = 0 (the accuracy gate's baseline).
+  // predictions and WSP = 0 (the bench gate's committed value).
   EXPECT_EQ(r.unseen.wrong_predictions, 0u);
   EXPECT_DOUBLE_EQ(r.unseen.wspPercent(), 0.0);
   EXPECT_LE(r.unseen.lost_instants * 1000, max_lost_permille * r.rows);
