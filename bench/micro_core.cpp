@@ -1,13 +1,18 @@
 // Microbenchmarks (google-benchmark) of the core algorithmic kernels:
 // atomic-proposition evaluation, signature interning, XU-automaton
-// mining, PSM-simulator stepping, Welch's t-test, HMM filtering, and
-// BitVector Hamming distance. These track the per-cycle costs behind the
-// Table II/III timing columns.
+// mining, PSM-simulator stepping, Welch's t-test, HMM filtering,
+// BitVector Hamming distance and CSV trace reading. These track the
+// per-cycle costs behind the Table II/III timing columns and the per-row
+// ingest cost of `psmgen predict`.
 
 #include <benchmark/benchmark.h>
 
+#include <istream>
 #include <map>
 #include <memory>
+#include <sstream>
+#include <streambuf>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/flow.hpp"
@@ -15,7 +20,9 @@
 #include "core/xu_automaton.hpp"
 #include "ip/ip_factory.hpp"
 #include "power/gate_estimator.hpp"
+#include "runtime/streaming_reader.hpp"
 #include "stats/ttest.hpp"
+#include "trace/trace_io.hpp"
 
 namespace {
 
@@ -139,6 +146,54 @@ void BM_HmmFilterStep(benchmark::State& state) {
   state.counters["states"] = static_cast<double>(hmm.stateCount());
 }
 BENCHMARK(BM_HmmFilterStep);
+
+/// A held-out 60,000-row long-testbench trace of the IP as CSV text,
+/// written once per IP.
+const std::string& longCsv(ip::IpKind kind) {
+  static std::map<ip::IpKind, std::string> cache;
+  std::string& csv = cache[kind];
+  if (csv.empty()) {
+    auto device = ip::makeDevice(kind);
+    power::GateLevelEstimator est(*device, ip::powerConfig(kind));
+    auto tb = ip::makeTestbench(kind, ip::TestsetMode::Long, 99);
+    std::ostringstream os;
+    trace::writeFunctionalTrace(os, est.run(*tb, 60000).functional);
+    csv = os.str();
+  }
+  return csv;
+}
+
+/// Reads a string in place, so the benchmark times the reader, not a copy.
+struct StringBuf : std::streambuf {
+  explicit StringBuf(const std::string& s) {
+    char* p = const_cast<char*>(s.data());
+    setg(p, p, p + s.size());
+  }
+};
+
+/// StreamingTraceReader over an in-memory CSV at the default chunk and
+/// block: line splitting, the row parser and the hex decoder, per row.
+void BM_StreamingReader(benchmark::State& state, ip::IpKind kind) {
+  const std::string& csv = longCsv(kind);
+  std::vector<common::BitVector> row;
+  std::size_t rows = 0;
+  for (auto _ : state) {
+    StringBuf buf(csv);
+    std::istream is(&buf);
+    runtime::StreamingTraceReader reader(is);
+    while (reader.next(row)) ++rows;
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  // Seconds per row (printed with an SI prefix, e.g. "120ns").
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(rows),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_StreamingReader, RAM, ip::IpKind::Ram);
+BENCHMARK_CAPTURE(BM_StreamingReader, MultSum, ip::IpKind::MultSum);
+BENCHMARK_CAPTURE(BM_StreamingReader, AES, ip::IpKind::Aes);
+BENCHMARK_CAPTURE(BM_StreamingReader, Camellia, ip::IpKind::Camellia);
 
 }  // namespace
 

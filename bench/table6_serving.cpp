@@ -10,7 +10,10 @@
 // estimate byte-for-byte against the bare OnlinePredictor's output —
 // any mismatch or frame loss counts as corruption, and the gate demands
 // exactly zero. Measured: per-frame round-trip latency (p50/p99 across
-// all sessions) and aggregate serving throughput in rows/second.
+// all sessions), aggregate serving throughput in rows/second, and the
+// process CPU time of the serving window per served row (the cost the
+// flight recorder and the profiler add, which wall-clock throughput
+// shows only through host-load noise).
 //
 // stdout is the same JSON shape as table4: [{"ip": "RAM", "metrics":
 // {...}}] with the load results in bench.serve.* gauges, gated by
@@ -22,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -80,6 +84,14 @@ std::string indented(const std::string& json, const std::string& pad) {
     if (c == '\n') out += pad;
   }
   return out;
+}
+
+/// CPU time of every thread of this process so far.
+double processCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 double percentile(std::vector<double>& samples, double p) {
@@ -170,6 +182,7 @@ int main(int argc, char** argv) {
   std::mutex latencies_mutex;
   std::vector<double> latencies_ms;  // merged per-frame round trips
 
+  const double cpu0 = processCpuSeconds();
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
   clients.reserve(sessions);
@@ -216,6 +229,7 @@ int main(int argc, char** argv) {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  const double cpu_s = processCpuSeconds() - cpu0;
   server.stop();
   http.stop();
 
@@ -234,6 +248,10 @@ int main(int argc, char** argv) {
       .set(wall_s > 0.0 ? static_cast<double>(rows_done.load()) / wall_s
                         : 0.0);
   reg.gauge("bench.serve.wall_seconds").set(wall_s);
+  reg.gauge("bench.serve.cpu_us_per_row")
+      .set(rows_done.load() > 0
+               ? 1e6 * cpu_s / static_cast<double>(rows_done.load())
+               : 0.0);
   reg.gauge("bench.serve.frame_p50_ms").set(percentile(latencies_ms, 0.50));
   reg.gauge("bench.serve.frame_p99_ms").set(percentile(latencies_ms, 0.99));
   reg.gauge("bench.serve.corrupted_frames")

@@ -1,6 +1,9 @@
 #include "common/bitvector.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace psmgen::common {
@@ -41,40 +44,89 @@ BitVector BitVector::fromHex(std::string_view hex, unsigned width) {
   return v;
 }
 
-void BitVector::assignHex(std::string_view hex, unsigned width) {
-  const unsigned natural = static_cast<unsigned>(hex.size()) * 4;
-  setWidth(width == 0 ? natural : width);
-  zero();
+namespace {
+
+/// Hex digit value per character; kNotHex (a bit above any nibble) for
+/// every character that is not a hex digit.
+constexpr std::uint8_t kNotHex = 0x10;
+constexpr std::array<std::uint8_t, 256> kHexNibble = [] {
+  std::array<std::uint8_t, 256> table{};
+  table.fill(kNotHex);
+  for (int c = 0; c < 10; ++c) table['0' + c] = static_cast<std::uint8_t>(c);
+  for (int c = 0; c < 6; ++c) {
+    table['a' + c] = static_cast<std::uint8_t>(10 + c);
+    table['A' + c] = static_cast<std::uint8_t>(10 + c);
+  }
+  return table;
+}();
+
+std::uint32_t nibbleOf(char c) {
+  return kHexNibble[static_cast<unsigned char>(c)];
+}
+
+/// The reference decoder: one nibble at a time from the least significant
+/// digit, throwing at the first bad character or the first non-zero nibble
+/// above `width` it meets. `limbs` holds ceil(width/64) limbs.
+void assignHexPerNibble(std::string_view hex, unsigned width,
+                        std::uint64_t* limbs) {
+  std::fill_n(limbs, (static_cast<std::size_t>(width) + 63) / 64, 0);
   // pos is a multiple of 4, so a nibble never straddles two limbs.
   std::size_t pos = 0;  // bit position of the next nibble's LSB
   for (std::size_t i = hex.size(); i-- > 0; pos += 4) {
-    const char c = hex[i];
-    std::uint64_t nib = 0;
-    if (c >= '0' && c <= '9') {
-      nib = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      nib = static_cast<std::uint64_t>(c - 'a' + 10);
-    } else if (c >= 'A' && c <= 'F') {
-      nib = static_cast<std::uint64_t>(c - 'A' + 10);
-    } else {
+    const std::uint64_t nib = nibbleOf(hex[i]);
+    if (nib == kNotHex) {
       throw std::invalid_argument("BitVector::fromHex: bad character");
     }
     if (nib == 0) continue;
-    if (pos >= width_ || (width_ - pos < 4 && (nib >> (width_ - pos)) != 0)) {
+    if (pos >= width || (width - pos < 4 && (nib >> (width - pos)) != 0)) {
       throw std::invalid_argument(
           "BitVector::fromHex: value does not fit requested width");
     }
-    limbs_[pos / kLimbBits] |= nib << (pos % kLimbBits);
+    limbs[pos / 64] |= nib << (pos % 64);
   }
 }
 
+}  // namespace
+
+void BitVector::assignHex(std::string_view hex, unsigned width) {
+  const unsigned natural = static_cast<unsigned>(hex.size()) * 4;
+  setWidth(width == 0 ? natural : width);
+  // One whole limb per run of 16 digits, least significant run first.
+  // A bad character sets kNotHex in `bad` (its stray bit in the limb does
+  // not matter: the value is then decoded again below); the width is
+  // checked once, after the value is decoded.
+  std::uint32_t bad = 0;
+  std::size_t end = hex.size();  // digits [0, end) are not decoded yet
+  const std::size_t n = limbCount();
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t begin = end > 16 ? end - 16 : 0;
+    std::uint64_t limb = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t nib = nibbleOf(hex[i]);
+      bad |= nib;
+      limb = (limb << 4) | nib;
+    }
+    limbs_[k] = limb;
+    end = begin;
+  }
+  // Digits above the last limb must be zeros, and so must the top limb's
+  // bits above the width.
+  std::uint32_t spill = 0;
+  for (std::size_t i = 0; i < end; ++i) spill |= nibbleOf(hex[i]);
+  const unsigned rem = width_ % kLimbBits;
+  const bool overflow =
+      spill != 0 || (rem != 0 && (limbs_[n - 1] >> rem) != 0);
+  // On a bad input, the per-nibble decoder throws the error it meets
+  // first, so the message does not depend on this fast path.
+  if ((bad & kNotHex) != 0 || overflow) assignHexPerNibble(hex, width_, limbs_);
+}
+
 void BitVector::assignBytes(const std::uint8_t* bytes, unsigned width) {
+  static_assert(std::endian::native == std::endian::little,
+                "limbs are filled from little-endian bytes by memcpy");
   setWidth(width);
   zero();
-  const unsigned nbytes = (width + 7) / 8;
-  for (unsigned i = 0; i < nbytes; ++i) {
-    limbs_[i / 8] |= static_cast<std::uint64_t>(bytes[i]) << (8 * (i % 8));
-  }
+  std::memcpy(limbs_, bytes, (width + 7) / 8);
   trim();
 }
 

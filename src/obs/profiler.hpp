@@ -10,8 +10,7 @@
 // Nothing in the handler allocates, locks, or touches the logger /
 // metrics registry — its cost is one backtrace walk plus a bounded
 // memcpy, which is what makes always-available 97 Hz sampling cost
-// under the 2% serving-throughput budget pinned by
-// scripts/load_gate.py.
+// under the 2% serving budget pinned by scripts/bench_gate.py.
 //
 // Samples stay raw program-counter arrays until render time: stop()
 // drains in-flight handlers, merges the rings, folds identical stacks,

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "common/strings.hpp"
 #include "obs/metrics.hpp"
 #include "trace/trace_io.hpp"
 
@@ -22,82 +21,72 @@ ReaderCounters& counters() {
   static ReaderCounters c;
   return c;
 }
+
+std::unique_ptr<std::istream> openTrace(const std::string& path) {
+  auto is = std::make_unique<std::ifstream>(path);
+  if (!*is) {
+    throw std::runtime_error("StreamingTraceReader: cannot open " + path);
+  }
+  return is;
+}
+
+StreamingTraceReader::Options checked(StreamingTraceReader::Options options) {
+  if (options.chunk_rows == 0) {
+    throw std::invalid_argument("StreamingTraceReader: chunk_rows must be > 0");
+  }
+  return options;
+}
 }  // namespace
 
 StreamingTraceReader::StreamingTraceReader(std::istream& is)
     : StreamingTraceReader(is, Options{}) {}
 
 StreamingTraceReader::StreamingTraceReader(std::istream& is, Options options)
-    : is_(&is), options_(options) {
-  readPreamble();
-}
+    : StreamingTraceReader(nullptr, &is, options) {}
 
 StreamingTraceReader::StreamingTraceReader(const std::string& path)
     : StreamingTraceReader(path, Options{}) {}
 
 StreamingTraceReader::StreamingTraceReader(const std::string& path,
                                            Options options)
-    : owned_(std::make_unique<std::ifstream>(path)), is_(owned_.get()),
-      options_(options) {
-  if (!*is_) {
-    throw std::runtime_error("StreamingTraceReader: cannot open " + path);
-  }
-  readPreamble();
-}
+    : StreamingTraceReader(openTrace(path), nullptr, options) {}
 
-void StreamingTraceReader::readPreamble() {
-  if (options_.chunk_rows == 0) {
-    throw std::invalid_argument("StreamingTraceReader: chunk_rows must be > 0");
-  }
-  std::string line;
-  if (!std::getline(*is_, line) ||
-      common::trim(line) != trace::functionalTraceHeader()) {
-    throw std::runtime_error("trace_io: missing functional trace header");
-  }
-  ++line_no_;
-  if (!std::getline(*is_, line)) {
-    throw std::runtime_error(
-        "trace_io: truncated trace: missing variable declaration line");
-  }
-  ++line_no_;
-  vars_ = trace::parseVariableDeclaration(line, line_no_);
-}
+StreamingTraceReader::StreamingTraceReader(std::unique_ptr<std::istream> owned,
+                                           std::istream* is, Options options)
+    : owned_(std::move(owned)), options_(checked(options)),
+      lines_(is != nullptr ? *is : *owned_),
+      vars_(trace::readFunctionalPreamble(lines_)) {}
 
 void StreamingTraceReader::refill() {
-  buffered_ = 0;
+  lines_.release();
+  spans_.clear();
   buffer_pos_ = 0;
-  while (buffered_ < options_.chunk_rows) {
-    if (buffered_ == lines_.size()) lines_.emplace_back();
-    BufferedLine& line = lines_[buffered_];
-    if (!std::getline(*is_, line.text)) break;
-    ++line_no_;
-    if (common::trimView(line.text).empty()) continue;
-    line.line_no = line_no_;
-    ++buffered_;
+  trace::LineReader::Span line;
+  while (spans_.size() < options_.chunk_rows && lines_.nextNonBlank(line)) {
+    spans_.push_back(line);
   }
-  if (buffered_ == 0) {
+  if (spans_.empty()) {
     exhausted_ = true;
     return;
   }
   ++refills_;
-  peak_ = std::max(peak_, buffered_);
+  peak_ = std::max(peak_, spans_.size());
   // Per-refill (not per-row): one counter bump per chunk keeps the
   // disabled-registry cost off the row-delivery fast path entirely.
   ReaderCounters& c = counters();
   c.refills.add(1);
-  c.rows.add(buffered_);
+  c.rows.add(spans_.size());
   c.peak.set(static_cast<double>(peak_));
 }
 
 bool StreamingTraceReader::next(std::vector<common::BitVector>& row) {
-  if (buffer_pos_ == buffered_) {
+  if (buffer_pos_ == spans_.size()) {
     if (exhausted_) return false;
     refill();
     if (exhausted_) return false;
   }
-  const BufferedLine& line = lines_[buffer_pos_++];
-  trace::parseFunctionalRowInto(common::trimView(line.text), vars_,
-                                line.line_no, row);
+  const trace::LineReader::Span& line = spans_[buffer_pos_++];
+  trace::parseFunctionalRowInto(lines_.text(line), vars_, line.line_no, row);
   ++rows_;
   return true;
 }

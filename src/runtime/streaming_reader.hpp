@@ -4,13 +4,14 @@
 // trace::loadFunctionalTrace materializes the whole trace — fine for
 // training, wrong for serving, where evaluation traces can be orders of
 // magnitude longer than RAM. StreamingTraceReader reads the same CSV
-// format (trace/trace_io.hpp) in chunks: a refill buffers up to
-// `chunk_rows` raw, non-blank lines (with their line numbers) in strings
-// reused across refills, and next() parses one buffered line straight
-// into the caller's row. Memory contract: at most `chunk_rows` raw lines
-// plus the one parsed row the caller owns are resident at any instant,
-// regardless of trace length; once the buffers have grown to the widest
-// line, reading allocates nothing per row.
+// format (trace/trace_io.hpp) through the same trace::LineReader loop, in
+// chunks: a refill reads up to `chunk_rows` non-blank lines as byte spans
+// (offset, length, line number) into the line reader's one byte buffer,
+// and next() parses one span straight into the caller's row. Memory
+// contract: at most `chunk_rows` raw lines, one block of read-ahead and
+// the one parsed row the caller owns are resident at any instant,
+// regardless of trace length; once the buffer has grown to the widest
+// chunk, reading allocates nothing per row.
 //
 // peakBufferedRows() exposes the high-water mark of buffered lines; the
 // bounded-memory contract (peak <= chunk_rows) is enforced by tests that
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "common/bitvector.hpp"
+#include "trace/line_reader.hpp"
 #include "trace/variable.hpp"
 
 namespace psmgen::runtime {
@@ -60,23 +62,18 @@ class StreamingTraceReader {
   std::size_t peakBufferedRows() const { return peak_; }
 
  private:
-  void readPreamble();
+  /// Reads from `is`, or from `owned` when `is` is null.
+  StreamingTraceReader(std::unique_ptr<std::istream> owned, std::istream* is,
+                       Options options);
   void refill();
 
   std::unique_ptr<std::istream> owned_;
-  std::istream* is_;
   Options options_;
+  trace::LineReader lines_;
   trace::VariableSet vars_;
-  struct BufferedLine {
-    std::string text;
-    std::size_t line_no = 0;
-  };
-  /// lines_[0, buffered_) hold the current chunk; strings beyond it keep
-  /// their capacity for the next refill.
-  std::vector<BufferedLine> lines_;
-  std::size_t buffered_ = 0;
+  /// The current chunk's lines; the vector keeps its capacity.
+  std::vector<trace::LineReader::Span> spans_;
   std::size_t buffer_pos_ = 0;
-  std::size_t line_no_ = 0;
   std::size_t rows_ = 0;
   std::size_t refills_ = 0;
   std::size_t peak_ = 0;

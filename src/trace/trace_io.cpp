@@ -1,6 +1,7 @@
 #include "trace/trace_io.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -37,6 +38,25 @@ double parseDouble(const std::string& s, std::size_t line_no,
     return v;
   } catch (const std::logic_error&) {
     fail(line_no, "bad " + what + ": " + s);
+  }
+}
+
+/// The first ',' of the `left` bytes at `cell`, or null. A one-digit
+/// cell, as every 1-bit signal has, needs no memchr call.
+const char* findComma(const char* cell, std::size_t left) {
+  if (left > 1 && cell[0] != ',' && cell[1] == ',') return cell + 1;
+  return left == 0 ? nullptr
+                   : static_cast<const char*>(std::memchr(cell, ',', left));
+}
+
+/// Throws the arity error unless `line` holds `expected` cells.
+void checkArity(std::string_view line, std::size_t expected,
+                std::size_t line_no) {
+  const std::size_t cells =
+      static_cast<std::size_t>(std::count(line.begin(), line.end(), ',')) + 1;
+  if (cells != expected) {
+    fail(line_no, "row arity mismatch (got " + std::to_string(cells) +
+                      " cells, expected " + std::to_string(expected) + ")");
   }
 }
 }  // namespace
@@ -79,35 +99,35 @@ VariableSet parseVariableDeclaration(const std::string& line,
   return vars;
 }
 
-std::vector<common::BitVector> parseFunctionalRow(std::string_view line,
-                                                  const VariableSet& vars,
-                                                  std::size_t line_no) {
-  std::vector<common::BitVector> row;
-  parseFunctionalRowInto(line, vars, line_no, row);
-  return row;
-}
-
 void parseFunctionalRowInto(std::string_view line, const VariableSet& vars,
                             std::size_t line_no,
                             std::vector<common::BitVector>& row) {
-  const std::size_t cells =
-      static_cast<std::size_t>(std::count(line.begin(), line.end(), ',')) + 1;
-  if (cells != vars.size()) {
-    fail(line_no, "row arity mismatch (got " + std::to_string(cells) +
-                      " cells, expected " + std::to_string(vars.size()) + ")");
-  }
-  row.resize(cells);
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < cells; ++i) {
-    const std::size_t end = std::min(line.find(',', start), line.size());
-    try {
-      row[i].assignHex(line.substr(start, end - start), vars[i].width);
-    } catch (const std::exception& e) {
-      fail(line_no, "bad value for variable '" + vars[i].name +
-                        "': " + e.what());
+  // One pass over the cells. The commas are counted only once a cell has
+  // failed, so a row of the wrong arity reports that before any bad value
+  // it holds.
+  const std::vector<VariableDef>& defs = vars.all();
+  const std::size_t n = defs.size();
+  row.resize(n);
+  const char* cell = line.data();
+  const char* const end = cell + line.size();
+  std::size_t i = 0;
+  try {
+    for (; i < n; ++i) {
+      const char* comma =
+          findComma(cell, static_cast<std::size_t>(end - cell));
+      const bool last = i + 1 == n;
+      if ((comma == nullptr) != last) break;  // too few or too many cells
+      const char* const cell_end = last ? end : comma;
+      row[i].assignHex({cell, static_cast<std::size_t>(cell_end - cell)},
+                       defs[i].width);
+      if (comma != nullptr) cell = comma + 1;
     }
-    start = end + 1;
+  } catch (const std::exception& e) {
+    checkArity(line, n, line_no);
+    fail(line_no,
+         "bad value for variable '" + defs[i].name + "': " + e.what());
   }
+  if (i != n || n == 0) checkArity(line, n, line_no);
 }
 
 void writeFunctionalTrace(std::ostream& os, const FunctionalTrace& trace) {
@@ -120,22 +140,30 @@ void writeFunctionalTrace(std::ostream& os, const FunctionalTrace& trace) {
   }
 }
 
-FunctionalTrace readFunctionalTrace(std::istream& is) {
-  std::string line;
-  if (!std::getline(is, line) || common::trim(line) != kFunctionalHeader) {
+VariableSet readFunctionalPreamble(LineReader& lines) {
+  LineReader::Span line;
+  if (!lines.nextLine(line) ||
+      common::trimView(lines.text(line)) != kFunctionalHeader) {
     throw std::runtime_error("trace_io: missing functional trace header");
   }
-  if (!std::getline(is, line)) {
+  if (!lines.nextLine(line)) {
     throw std::runtime_error(
         "trace_io: truncated trace: missing variable declaration line");
   }
-  FunctionalTrace trace(parseVariableDeclaration(line, 2));
-  std::size_t line_no = 2;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const std::string_view t = common::trimView(line);
-    if (t.empty()) continue;
-    trace.append(parseFunctionalRow(t, trace.variables(), line_no));
+  return parseVariableDeclaration(std::string(lines.text(line)),
+                                  line.line_no);
+}
+
+FunctionalTrace readFunctionalTrace(std::istream& is) {
+  LineReader lines(is);
+  FunctionalTrace trace(readFunctionalPreamble(lines));
+  LineReader::Span line;
+  while (lines.nextNonBlank(line)) {
+    std::vector<common::BitVector> row;
+    parseFunctionalRowInto(lines.text(line), trace.variables(), line.line_no,
+                           row);
+    trace.append(std::move(row));
+    lines.release();
   }
   return trace;
 }

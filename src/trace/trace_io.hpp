@@ -15,7 +15,8 @@
 // number of the offending row, e.g.
 //   "trace_io: line 12: row arity mismatch (got 2 cells, expected 3)".
 //
-// The low-level line parsers are exported so that streaming consumers
+// Every functional CSV is read through one trace::LineReader loop; the
+// preamble and row parsers are exported so that streaming consumers
 // (runtime::StreamingTraceReader) share one definition of the format
 // instead of duplicating it.
 
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "trace/functional_trace.hpp"
+#include "trace/line_reader.hpp"
 #include "trace/power_trace.hpp"
 
 namespace psmgen::trace {
@@ -43,20 +45,19 @@ VariableSet parseVariableDeclaration(const std::string& line,
 /// serving protocol's Hello negotiation, so both agree on one spelling.
 std::string formatVariableDeclaration(const VariableSet& vars);
 
-/// Parses one data row ("<hex>,<hex>,...") against `vars`. Throws
-/// std::runtime_error naming `line_no` on arity mismatch or a cell that
-/// is not valid hex for its variable's width.
-std::vector<common::BitVector> parseFunctionalRow(std::string_view line,
-                                                  const VariableSet& vars,
-                                                  std::size_t line_no);
-
-/// parseFunctionalRow into caller-owned storage: `row` is resized to
-/// vars.size() and every value overwritten in place, so a row reused
-/// across calls is parsed without heap allocation. Same errors; `row`
-/// holds unspecified values after a throw.
+/// Parses one data row ("<hex>,<hex>,...") against `vars` into
+/// caller-owned storage: `row` is resized to vars.size() and every value
+/// overwritten in place, so a row reused across calls is parsed without
+/// heap allocation. Throws std::runtime_error naming `line_no` on arity
+/// mismatch (reported first) or a cell that is not valid hex for its
+/// variable's width; `row` holds unspecified values after a throw.
 void parseFunctionalRowInto(std::string_view line, const VariableSet& vars,
                             std::size_t line_no,
                             std::vector<common::BitVector>& row);
+
+/// Reads the header and variable declaration lines of a functional trace
+/// (the first two lines, blank or not) and returns the declaration.
+VariableSet readFunctionalPreamble(LineReader& lines);
 
 void writeFunctionalTrace(std::ostream& os, const FunctionalTrace& trace);
 FunctionalTrace readFunctionalTrace(std::istream& is);

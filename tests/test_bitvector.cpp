@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -10,6 +11,7 @@
 
 #include "common/bitvector.hpp"
 #include "common/rng.hpp"
+#include "reference_parsers.hpp"
 
 namespace psmgen::common {
 namespace {
@@ -99,6 +101,64 @@ TEST(BitVector, AssignHexMatchesFromHexOnRandomWidths) {
       EXPECT_EQ(parseError([&] { reused.assignHex(b, w); }), want)
           << b << " w=" << w;
     }
+  }
+}
+
+/// assignHex must agree with a per-nibble reference decoder that shares
+/// no code with it, on the value and on the exact message: widths 1..300
+/// and 8192, upper- and lower-case digits, leading zeros past the width,
+/// digit runs that are not a multiple of 16, and inputs holding both a
+/// bad character and an out-of-width nibble in either order (the error
+/// nearer the least significant digit wins).
+TEST(BitVector, AssignHexMatchesPerNibbleReference) {
+  Rng rng(0xd1ff);
+  BitVector reused;
+  const auto check = [&](const std::string& hex, unsigned w) {
+    const testing::HexResult want = testing::referenceHex(hex, w);
+    const std::string got = parseError([&] { reused.assignHex(hex, w); });
+    ASSERT_EQ(got, want.error) << hex << " w=" << w;
+    if (want.error.empty()) {
+      ASSERT_EQ(reused, want.value) << hex << " w=" << w;
+    }
+  };
+  for (int i = 0; i < 600; ++i) {
+    const unsigned w =
+        i % 50 == 0 ? 8192 : 1 + static_cast<unsigned>(rng.uniform(300));
+    std::string hex = rng.bits(w).toHex();
+    // Mixed case, leading zeros past the width, and a digit count that
+    // is rarely a multiple of 16.
+    for (char& c : hex) {
+      if (rng.uniform(2) == 0) c = static_cast<char>(std::toupper(c));
+    }
+    hex = std::string(rng.uniform(40), '0') + hex;
+    check(hex, w);
+    check(hex, 0);
+    check(hex.substr(rng.uniform(hex.size())), w);  // fewer digits
+
+    std::string bads = "g -x\x7f";
+    bads += '\x80';
+    bads += '\0';
+    const char bad = bads[rng.uniform(bads.size())];
+    const std::string over = "1" + hex;  // a set bit above every digit
+    check(over, w);
+    if (w % 4 != 0) {  // the top digit spills over a non-nibble width
+      std::string top = hex;
+      top[hex.size() - (w + 3) / 4] = 'F';
+      check(top, w);
+    }
+    std::string typo = hex;
+    typo[rng.uniform(hex.size())] = bad;
+    check(typo, w);
+    // Both errors in one input: the one nearer the last digit is thrown.
+    std::string bad_below = over;
+    bad_below[1 + rng.uniform(hex.size())] = bad;
+    EXPECT_EQ(testing::referenceHex(bad_below, w).error,
+              "BitVector::fromHex: bad character");
+    check(bad_below, w);
+    const std::string bad_above = std::string(1, bad) + over;
+    EXPECT_EQ(testing::referenceHex(bad_above, w).error,
+              "BitVector::fromHex: value does not fit requested width");
+    check(bad_above, w);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "runtime/online_predictor.hpp"
 #include "runtime/streaming_reader.hpp"
 #include "serialize/psm_artifact.hpp"
+#include "reference_parsers.hpp"
 #include "trace/trace_io.hpp"
 
 namespace psmgen {
@@ -171,6 +172,116 @@ TEST(StreamingReader, BadRowThrowsAfterEveryEarlierRow) {
           << e.what();
     }
   }
+}
+
+// --- reader edge cases, through both CSV entry points --------------------
+
+/// Both entry points must read `csv` as `want` says, the streaming reader
+/// at several chunk sizes.
+void expectBothRead(const std::string& csv, const testing::RowsResult& want,
+                    const std::string& what) {
+  for (const std::size_t chunk : {1, 3, 4096}) {
+    EXPECT_EQ(testing::streamCsv(csv, {chunk}), want)
+        << what << ", chunk " << chunk;
+  }
+  const testing::RowsResult loaded = testing::loadCsv(csv);
+  EXPECT_EQ(loaded.error, want.error) << what;
+  if (want.error.empty()) {
+    EXPECT_EQ(loaded.rows, want.rows) << what;
+  }
+}
+
+testing::RowsResult rowsOf(const trace::FunctionalTrace& t,
+                          const std::string& error = "") {
+  testing::RowsResult out;
+  for (std::size_t i = 0; i < t.length(); ++i) out.rows.push_back(t.step(i));
+  out.error = error;
+  return out;
+}
+
+std::string replaceAll(std::string s, const std::string& from,
+                       const std::string& to) {
+  for (std::size_t at = s.find(from); at != std::string::npos;
+       at = s.find(from, at + to.size())) {
+    s.replace(at, from.size(), to);
+  }
+  return s;
+}
+
+TEST(ReaderEdgeCases, MissingTrailingNewline) {
+  const trace::FunctionalTrace t = randomTrace(9, 11);
+  std::string csv = toCsv(t);
+  csv.pop_back();
+  expectBothRead(csv, rowsOf(t), "valid last row");
+  // A bad last row without a newline still names its line (3 + 9).
+  expectBothRead(csv + "\n1,2,3", rowsOf(t,
+                 "trace_io: line 12: row arity mismatch (got 3 cells, "
+                 "expected 2)"),
+                 "bad last row");
+}
+
+TEST(ReaderEdgeCases, CrlfLineEndings) {
+  const trace::FunctionalTrace t = randomTrace(12, 12);
+  const std::string csv = replaceAll(toCsv(t), "\n", "\r\n");
+  expectBothRead(csv, rowsOf(t), "CRLF");
+  expectBothRead(csv + "1,zz\r\n", rowsOf(t,
+                 "trace_io: line 15: bad value for variable 'b': "
+                 "BitVector::fromHex: bad character"),
+                 "CRLF bad row");
+}
+
+TEST(ReaderEdgeCases, BlankLinesCountTowardsErrorLineNumbers) {
+  const trace::FunctionalTrace t = randomTrace(6, 13);
+  const std::string plain = toCsv(t);
+  const std::size_t rows_at = plain.find('\n', plain.find('\n') + 1) + 1;
+  // Each row is followed by a blank and a whitespace-only line, so the
+  // six rows take lines 3-20.
+  const std::string csv =
+      plain.substr(0, rows_at) +
+      replaceAll(plain.substr(rows_at), "\n", "\n\n \t\r\n");
+  expectBothRead(csv, rowsOf(t), "blank lines");
+  expectBothRead(csv + "   \n3,fff\n", rowsOf(t,
+                 "trace_io: line 22: bad value for variable 'b': "
+                 "BitVector::fromHex: value does not fit requested width"),
+                 "blank lines, bad row");
+}
+
+TEST(ReaderEdgeCases, LinesStraddleTheBlockBoundaryAtEveryOffset) {
+  // About 80 KB of rows of at most 6 bytes: shifting the text one byte
+  // at a time, by a whitespace-only line after the declaration, moves the
+  // first 64 KiB block boundary across every byte of a row.
+  const trace::FunctionalTrace t = randomTrace(14000, 14);
+  const std::string csv = toCsv(t);
+  const std::size_t rows_at = csv.find('\n', csv.find('\n') + 1) + 1;
+  for (std::size_t shift = 0; shift < 10; ++shift) {
+    std::string shifted = csv;
+    shifted.insert(rows_at, std::string(shift, ' ') + "\n");
+    const testing::RowsResult loaded = testing::loadCsv(shifted);
+    EXPECT_EQ(loaded, rowsOf(t)) << "shift " << shift;
+    EXPECT_EQ(testing::streamCsv(shifted, {}), rowsOf(t)) << "shift " << shift;
+    // A bad row behind the boundary still names its line: 3 preamble
+    // and shift lines, then 14000 rows.
+    EXPECT_EQ(testing::streamCsv(shifted + "1\n", {}),
+              rowsOf(t, "trace_io: line 14004: row arity mismatch (got 1 "
+                        "cells, expected 2)"))
+        << "shift " << shift;
+  }
+}
+
+TEST(ReaderEdgeCases, LineLongerThanABlock) {
+  const trace::FunctionalTrace t = randomTrace(3, 16);
+  std::string csv = toCsv(t);
+  // 70,000 leading zeros: one valid row longer than a 64 KiB block.
+  const std::string row = std::string(70000, '0') + "5,1ff\n";
+  csv += row + "0,0\n";
+  trace::FunctionalTrace want = t;
+  want.append({BitVector(3, 5), BitVector(9, 0x1FF)});
+  want.append({BitVector(3, 0), BitVector(9, 0)});
+  expectBothRead(csv, rowsOf(want), "long row");
+  expectBothRead(csv + std::string(70000, '0') + "8,0\n", rowsOf(want,
+                 "trace_io: line 8: bad value for variable 'a': "
+                 "BitVector::fromHex: value does not fit requested width"),
+                 "long bad row");
 }
 
 // --- predictor ----------------------------------------------------------

@@ -6,7 +6,9 @@
 #include <random>
 #include <sstream>
 
+#include "common/strings.hpp"
 #include "trace/functional_trace.hpp"
+#include "trace/line_reader.hpp"
 #include "trace/power_trace.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/vcd_writer.hpp"
@@ -176,6 +178,24 @@ TEST(TraceIoErrors, RowErrorsReportTheLine) {
                    {"line 3", "en", "does not fit"});
 }
 
+TEST(TraceIo, EmptyCellsReadAsZero) {
+  // An empty cell is a zero-digit value; runs of commas split into empty
+  // cells, never into a cell holding a comma.
+  std::stringstream ss(
+      "# psmgen functional trace v1\nen:in:1,data:in:8,out:out:8\n"
+      ",,\n1,,\n,,f\n,a,\n");
+  const FunctionalTrace t = readFunctionalTrace(ss);
+  const auto row = [](unsigned en, unsigned data, unsigned out) {
+    return std::vector<BitVector>{BitVector(1, en), BitVector(8, data),
+                                  BitVector(8, out)};
+  };
+  ASSERT_EQ(t.length(), 4u);
+  EXPECT_EQ(t.step(0), row(0, 0, 0));
+  EXPECT_EQ(t.step(1), row(1, 0, 0));
+  EXPECT_EQ(t.step(2), row(0, 0, 0xF));
+  EXPECT_EQ(t.step(3), row(0, 0xA, 0));
+}
+
 TEST(TraceIoErrors, PowerTraceErrorsReportTheLine) {
   expectParseError(readPowerTrace, "# psmgen power trace v1\n",
                    {"truncated", "power parameter"});
@@ -245,6 +265,77 @@ TEST(TraceIoProperty, RandomizedPowerRoundTrip) {
     // precision(17) makes the decimal rendering lossless for doubles.
     ASSERT_EQ(back, p) << "iteration " << iter;
   }
+}
+
+// --- the block-read line loop --------------------------------------------
+
+/// Every line of `text` as LineReader hands it out, spans resolved only
+/// once the whole text is read (no release), so spans must survive every
+/// block read, buffer move and growth.
+std::vector<std::pair<std::string, std::size_t>> splitLines(
+    const std::string& text, bool non_blank) {
+  std::istringstream is(text);
+  LineReader lines(is);
+  std::vector<LineReader::Span> spans;
+  LineReader::Span span;
+  while (non_blank ? lines.nextNonBlank(span) : lines.nextLine(span)) {
+    spans.push_back(span);
+  }
+  std::vector<std::pair<std::string, std::size_t>> out;
+  for (const auto& s : spans) out.emplace_back(lines.text(s), s.line_no);
+  return out;
+}
+
+TEST(LineReader, SplitsLikeGetlineAcrossTheBlockBoundary) {
+  const std::string tail =
+      "first\r\n\n  \t\nsome longer line, with commas,,\nx\n\r\nlast";
+  // A leading line of padding puts the first block boundary at every
+  // offset of `tail`, its newlines included.
+  for (std::size_t at = 0; at <= tail.size(); ++at) {
+    const std::string text =
+        std::string(LineReader::kBlockBytes - 1 - at, 'p') + "\n" + tail;
+    std::istringstream is(text);
+    std::vector<std::pair<std::string, std::size_t>> want;
+    std::vector<std::pair<std::string, std::size_t>> want_rows;
+    std::string line;
+    for (std::size_t n = 1; std::getline(is, line); ++n) {
+      want.emplace_back(line, n);
+      const std::string t = common::trim(line);
+      if (!t.empty()) want_rows.emplace_back(t, n);
+    }
+    EXPECT_EQ(splitLines(text, false), want) << "boundary at " << at;
+    EXPECT_EQ(splitLines(text, true), want_rows) << "boundary at " << at;
+    // With a trailing newline the last line is the same line.
+    EXPECT_EQ(splitLines(text + "\n", false), want) << "boundary at " << at;
+  }
+  EXPECT_TRUE(splitLines("", false).empty());
+  EXPECT_EQ(splitLines("\n", false),
+            (std::vector<std::pair<std::string, std::size_t>>{{"", 1}}));
+}
+
+TEST(LineReader, ReleaseKeepsLaterSpansAndLongLines) {
+  // Lines longer than one and than two blocks, read with releases in
+  // between, so the buffer both moves and grows.
+  const std::size_t kBlock = LineReader::kBlockBytes;
+  const std::vector<std::size_t> lengths = {1,     kBlock + 7, 3,
+                                            3 * kBlock, 0, kBlock};
+  std::string text;
+  for (std::size_t len : lengths) {
+    text += std::string(len, static_cast<char>('a' + len % 26)) + "\n";
+  }
+  std::istringstream is(text);
+  LineReader lines(is);
+  LineReader::Span span;
+  std::size_t n = 0;
+  for (std::size_t len : lengths) {
+    ASSERT_TRUE(lines.nextLine(span));
+    EXPECT_EQ(lines.text(span),
+              std::string(len, static_cast<char>('a' + len % 26)));
+    EXPECT_EQ(span.line_no, ++n);
+    if (n % 2 == 0) lines.release();
+  }
+  EXPECT_FALSE(lines.nextLine(span));
+  EXPECT_FALSE(lines.nextLine(span));
 }
 
 TEST(Vcd, EmitsDeclarationsAndChanges) {
